@@ -55,10 +55,12 @@ FULL_BASKET: Tuple[Tuple[str, Dict[str, Any]], ...] = QUICK_BASKET + (
 #: Basket for the per-pass overhead stage.  These runs profile *every*
 #: block (``sample_blocks=None``) under the compiled engine, so collection
 #: cost — not silent batching — dominates and the pass-set ratios are
-#: meaningful.
+#: meaningful.  HYS brings the shared pass's bank-conflict sorting network,
+#: the suite's costliest pass workload, at a scale that profiles in ~1 s.
 PASS_BASKET: Tuple[Tuple[str, Dict[str, Any]], ...] = (
     ("VA", {"n": 1 << 18}),
     ("BS", {"n": 1 << 16}),
+    ("HYS", {"n": 2048}),
 )
 
 

@@ -1409,9 +1409,9 @@ def run_compiled_launch(
                 stats["observed_batches"] += 1
                 stats["profiled_blocks"] += len(prof_ids)
                 counts = stats["event_counts"]
-                for kind, n in batch.event_counts().items():
+                for kind, n in rec.event_counts.items():
                     counts[kind] += n
-                stats["event_bytes"] += batch.buffer_bytes()
+                stats["event_bytes"] += rec.event_bytes
                 prof_ids.clear()
                 prof_rows.clear()
                 for sink in sinks:

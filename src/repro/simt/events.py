@@ -80,21 +80,6 @@ class EventBatch:
     def __len__(self) -> int:
         return len(self.block_ids)
 
-    def event_counts(self) -> Dict[str, int]:
-        counts = {"instr": 0, "mem": 0, "branch": 0}
-        for ev in self.events:
-            counts[ev[0]] += 1
-        return counts
-
-    def buffer_bytes(self) -> int:
-        """Total bytes held by the batch's numpy buffers."""
-        total = 0
-        for ev in self.events:
-            for part in ev:
-                if isinstance(part, np.ndarray):
-                    total += part.nbytes
-        return total
-
     def replay(self, sink) -> None:
         """Scalar-replay the batch through a sink's per-event callbacks.
 
@@ -135,6 +120,10 @@ class EventRecorder:
     reductions happen once per mask in :meth:`finish`.  Address arrays *are*
     mutated in place by later statements, so memory events copy their
     profiled rows eagerly.
+
+    :meth:`finish` also sets ``event_counts`` (events per kind) and
+    ``event_bytes`` (bytes held by the batch's buffers, each event's arrays
+    counted in full even where events share them) for the engine's stats.
     """
 
     __slots__ = (
@@ -148,6 +137,8 @@ class EventRecorder:
         "_events",
         "_masks",
         "_mask_ids",
+        "event_counts",
+        "event_bytes",
     )
 
     def __init__(
@@ -217,8 +208,13 @@ class EventRecorder:
             lanes = sub.sum(axis=1)
             warp_mask = sub.reshape(-1, WARP_SIZE).any(axis=1).reshape(P, self.nwarps)
             warp_counts = np.count_nonzero(warp_mask, axis=1)
-            tables.append((lanes, warp_mask, warp_counts) if lanes.any() else None)
+            tables.append(
+                (lanes, warp_mask, warp_counts, lanes.nbytes + warp_mask.nbytes + warp_counts.nbytes)
+                if lanes.any()
+                else None
+            )
         events: List[tuple] = []
+        n_mem = n_branch = nbytes = 0
         for ev in self._events:
             tag = ev[0]
             if tag == 0:
@@ -226,8 +222,19 @@ class EventRecorder:
                 if table is None:
                     continue  # no profiled lane participates
                 events.append(("instr", ev[1], ev[2], table[0], table[1], table[2]))
+                nbytes += table[3]
             elif tag == 1:
                 events.append(("mem", ev[1], ev[2], ev[3], ev[4], ev[5], ev[6]))
+                n_mem += 1
+                nbytes += ev[5].nbytes + ev[6].nbytes
             else:
                 events.append(("branch", ev[1], ev[2], ev[3], ev[4]))
+                n_branch += 1
+                nbytes += ev[3].nbytes + ev[4].nbytes
+        self.event_counts = {
+            "instr": len(events) - n_mem - n_branch,
+            "mem": n_mem,
+            "branch": n_branch,
+        }
+        self.event_bytes = nbytes
         return EventBatch(self.block_ids, self.nthreads, self.nwarps, self.npad, events)

@@ -248,22 +248,43 @@ class KernelTraceCollector(TraceSink):
         ``consume`` either vectorizes over the block axis or scalar-replays
         through its own hooks), so the collector does not fan out
         ``on_block_begin``/``on_block_end`` here.  Per-pass accounting
-        attributes the batch's event count to every pass — the columnar
-        analogue of each subscribed hook firing once per event.
+        counts the participating (block, event) rows the pass subscribes
+        to — exactly the hook calls the callback path would have made.
         """
         if self._tele is None:
             for p in self._passes:
                 p.consume(batch)
             return
         perf = time.perf_counter
-        nevents = len(batch.events)
+        rows = _participating_rows(batch)
         seconds = self._pass_seconds
         events = self._pass_events
         for p in self._passes:
             t0 = perf()
             p.consume(batch)
             seconds[p.name] += perf() - t0
-            events[p.name] += nevents
+            events[p.name] += sum(
+                n
+                for (tag, space), n in rows.items()
+                if tag in p.subscribes and (space is None or space in p.mem_spaces)
+            )
+
+
+def _participating_rows(batch) -> Dict[Tuple[str, Optional[MemSpace]], int]:
+    """Participating (block, event) rows of a batch per (kind, mem space):
+    instr rows with active lanes, mem rows with an active lane, branch rows
+    with an active warp."""
+    rows: Dict[Tuple[str, Optional[MemSpace]], int] = {}
+    for ev in batch.events:
+        tag = ev[0]
+        if tag == "instr":
+            key, n = ("instr", None), np.count_nonzero(ev[3])
+        elif tag == "mem":
+            key, n = ("mem", ev[2]), np.count_nonzero(ev[6].any(axis=1))
+        else:
+            key, n = ("branch", None), np.count_nonzero(ev[3].any(axis=1))
+        rows[key] = rows.get(key, 0) + int(n)
+    return rows
 
 
 def _register_pressure_of(kernel: Kernel) -> int:

@@ -94,7 +94,10 @@ class AnalysisPass:
         events by subscription, mem space and participation — reproducing
         the callback sequence the collector would have dispatched.  Passes
         override this with vectorized reductions over the block axis; any
-        override must stay bit-identical to this replay.
+        override must stay bit-identical to this replay.  Integer counters
+        may reduce in any order.  Real float sums must keep the replay's
+        order, block ascending and then event order (branch's
+        ``taken_frac_sum``/``taken_frac_sqsum`` and mix's ``_cv_sum``).
         """
         subs = self.subscribes
         want_instr = "instr" in subs
@@ -121,6 +124,14 @@ class AnalysisPass:
                     if wa.any():
                         self.on_branch(ev[1], ev[2], wa, ev[4][i])
             self.end_block()
+
+
+def sum_in_order(start: float, values: np.ndarray) -> float:
+    """``start + values[0] + values[1] + ...``, added strictly left to right
+    (the order a scalar accumulation loop would use)."""
+    if not values.size:
+        return start
+    return float(np.add.accumulate(np.concatenate(([start], values)))[-1])
 
 
 _REGISTRY: Dict[str, Type[AnalysisPass]] = {}

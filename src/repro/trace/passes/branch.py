@@ -1,9 +1,10 @@
 """Branch-divergence pass.
 
-The statistics are a pure function of the (active, taken) warp vectors,
-which repeat heavily across blocks and loop iterations: the per-event
-contribution is memoized (same floats added in the same order, so the
-accumulated sums are bit-identical to the direct computation).
+The statistics are a pure function of the (active, taken) warp vectors.
+The scalar hook memoizes each event's contribution by those vectors, which
+repeat heavily across blocks and loop iterations.  The columnar
+``consume`` reduces a whole batch at once: integer counters in any order,
+the two taken-fraction float sums in the scalar (block, event) order.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.trace.passes.base import AnalysisPass, register_pass
+from repro.trace.passes.base import AnalysisPass, register_pass, sum_in_order
 
 
 @register_pass
@@ -59,63 +60,39 @@ class BranchPass(AnalysisPass):
         b.taken_frac_sqsum += frac_sqsum
 
     def consume(self, batch):
-        # Per event, the distinct (active, taken) row pairs are found once
-        # with a row-unique; each contributes through the same cache as the
-        # scalar path (identical byte keys: rows are contiguous int64
-        # slices).  Accumulation replays block-major so the float sums add
-        # in exactly the scalar order.
-        evs = []
-        for ev in batch.events:
-            if ev[0] != "branch":
-                continue
-            wa, wt = ev[3], ev[4]
-            nw = wa.shape[1]
-            uniq, inverse = np.unique(
-                np.concatenate((wa, wt), axis=1), axis=0, return_inverse=True
-            )
-            inverse = inverse.reshape(-1)
-            cs = []
-            for row in uniq:
-                a = row[:nw]
-                t = row[nw:]
-                key = (a.tobytes(), t.tobytes())
-                c = self._cache.get(key)
-                if c is None:
-                    has = a > 0
-                    active = a[has]
-                    taken = t[has]
-                    n = active.size
-                    if n == 0:
-                        c = (0, 0, 0.0, 0.0)
-                    else:
-                        divergent = (taken > 0) & (taken < active)
-                        frac = taken / active
-                        c = (
-                            n,
-                            int(divergent.sum()),
-                            float(frac.sum()),
-                            float((frac * frac).sum()),
-                        )
-                    self._cache[key] = c
-                cs.append(c)
-            evs.append((ev[2], inverse, cs))
+        # Rows are (block, event) pairs in block-major order, the scalar
+        # accumulation order.  The integer counters sum at once.
+        evs = [ev for ev in batch.events if ev[0] == "branch"]
         if not evs:
             return
+        nw = batch.nwarps
+        wa = np.stack([ev[3] for ev in evs], axis=1).reshape(-1, nw)
+        wt = np.stack([ev[4] for ev in evs], axis=1).reshape(-1, nw)
+        loop = np.tile([ev[2] == "loop" for ev in evs], len(batch.block_ids))
+        has = wa > 0
+        n = np.count_nonzero(has, axis=1)
         b = self._stats
-        for i in range(len(batch.block_ids)):
-            for kind, inverse, cs in evs:
-                c = cs[inverse[i]]
-                n = c[0]
-                if n == 0:
-                    continue
-                b.events += n
-                if kind == "loop":
-                    b.loop_events += n
-                else:
-                    b.if_events += n
-                b.divergent += c[1]
-                b.taken_frac_sum += c[2]
-                b.taken_frac_sqsum += c[3]
+        total = int(n.sum())
+        loop_events = int(n[loop].sum())
+        b.events += total
+        b.loop_events += loop_events
+        b.if_events += total - loop_events
+        b.divergent += int(np.count_nonzero(has & (wt > 0) & (wt < wa)))
+        # taken_frac_sum/sqsum are real float sums.  Each row's sum must
+        # reduce exactly its n participating warps, so rows are grouped by
+        # n and compacted to (R_n, n) before summing: numpy's pairwise tree
+        # then matches the scalar per-event sum.  The row sums are added in
+        # row order (a non-participating row adds an exact 0.0).
+        frac_sum = np.zeros(n.size)
+        frac_sqsum = np.zeros(n.size)
+        for k in np.unique(n[n > 0]).tolist():
+            rows = np.flatnonzero(n == k)
+            sel = has[rows]
+            frac = (wt[rows][sel] / wa[rows][sel]).reshape(-1, k)
+            frac_sum[rows] = frac.sum(axis=1)
+            frac_sqsum[rows] = (frac * frac).sum(axis=1)
+        b.taken_frac_sum = sum_in_order(b.taken_frac_sum, frac_sum)
+        b.taken_frac_sqsum = sum_in_order(b.taken_frac_sqsum, frac_sqsum)
 
     def end_kernel(self, profile):
         self._stats = None

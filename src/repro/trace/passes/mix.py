@@ -14,7 +14,7 @@ from typing import Dict
 import numpy as np
 
 from repro.simt.types import WARP_SIZE
-from repro.trace.passes.base import AnalysisPass, register_pass
+from repro.trace.passes.base import AnalysisPass, register_pass, sum_in_order
 
 
 @register_pass
@@ -60,37 +60,45 @@ class MixPass(AnalysisPass):
         self._warp_counts = None
 
     def consume(self, batch):
-        # Category counters are per-sid sums (commutative ints), so the
-        # whole event column folds at once; the imbalance CV needs the
-        # per-block warp-issue counts, accumulated as one (P, nwarps)
-        # matrix (a zero-lane row has an all-false warp mask, so the
-        # unconditional add matches the scalar participation guard).
-        P = len(batch.block_ids)
-        counts = np.zeros((P, batch.nwarps), dtype=np.int64)
-        acc = self._sid_acc
-        for ev in batch.events:
-            if ev[0] != "instr":
-                continue
-            counts += ev[4]
-            lanes_sum = int(ev[3].sum())
-            warps_sum = int(ev[5].sum())
-            rec = acc.get(ev[1].sid)
-            if rec is None:
-                acc[ev[1].sid] = [lanes_sum, warps_sum, ev[2].value]
-            else:
-                rec[0] += lanes_sum
-                rec[1] += warps_sum
-        # Per-block CV, replicating the scalar end_block branch structure
-        # exactly (same numpy reductions over the same int64 rows).
-        for i in range(P):
-            row = counts[i]
-            if row.size > 1 and row.sum() > 0:
-                mean = row.mean()
-                if mean > 0:
-                    self._cv_sum += float(row.std() / mean)
-                    self._cv_blocks += 1
-            elif row.size >= 1:
-                self._cv_blocks += 1
+        # Category counters are per-sid integer sums, folded from event
+        # columns (sids in first-occurrence order).  Events recorded under
+        # one active mask share their arrays, so each distinct array is
+        # reduced once and weighted by its multiplicity.  A zero-lane row
+        # has an all-false warp mask, so unconditional sums match the
+        # scalar participation guard.
+        evs = [ev for ev in batch.events if ev[0] == "instr"]
+        if evs:
+            lanes_u, lanes_inv = _distinct(evs, 3)
+            masks_u, masks_inv = _distinct(evs, 4)
+            masks = np.stack(masks_u)
+            counts = np.einsum("u,upw->pw", np.bincount(masks_inv), masks)
+            lanes = np.stack(lanes_u).sum(axis=1)[lanes_inv]
+            warps = np.count_nonzero(masks, axis=(1, 2))[masks_inv]
+            sids = np.fromiter((ev[1].sid for ev in evs), np.int64, len(evs))
+            uniq, first, inverse = np.unique(sids, return_index=True, return_inverse=True)
+            lanes_by_sid = np.zeros(uniq.size, dtype=np.int64)
+            warps_by_sid = np.zeros(uniq.size, dtype=np.int64)
+            np.add.at(lanes_by_sid, inverse, lanes)
+            np.add.at(warps_by_sid, inverse, warps)
+            acc = self._sid_acc
+            for j in np.argsort(first).tolist():
+                sid = int(uniq[j])
+                rec = acc.get(sid)
+                if rec is None:
+                    acc[sid] = [int(lanes_by_sid[j]), int(warps_by_sid[j]), evs[first[j]][2].value]
+                else:
+                    rec[0] += int(lanes_by_sid[j])
+                    rec[1] += int(warps_by_sid[j])
+        else:
+            counts = np.zeros((len(batch.block_ids), batch.nwarps), dtype=np.int64)
+        # Per-block CV, following the scalar end_block branch rules row-wise.
+        if batch.nwarps > 1:
+            busy = counts.sum(axis=1) > 0
+            rows = counts[busy]
+            cvs = rows.std(axis=1) / rows.mean(axis=1)
+            # _cv_sum is a real float sum: add the block CVs in block order.
+            self._cv_sum = sum_in_order(self._cv_sum, cvs)
+        self._cv_blocks += len(batch.block_ids)
 
     def end_kernel(self, profile):
         p = profile
@@ -101,3 +109,11 @@ class MixPass(AnalysisPass):
             p.simd_slot_sum += warps_sum * WARP_SIZE
         p.warp_imbalance_cv = self._cv_sum / self._cv_blocks if self._cv_blocks else 0.0
         self._sid_acc = {}
+
+
+def _distinct(evs, col):
+    """Distinct array objects in column ``col`` of ``evs``, with each event's
+    index into them (arrays are compared by identity, not content)."""
+    ids = np.fromiter((id(ev[col]) for ev in evs), np.int64, len(evs))
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    return [evs[i][col] for i in first.tolist()], inverse

@@ -1,8 +1,12 @@
 """Shared-memory bank-conflict pass.
 
-Shared addresses are block-relative, so the (mask, active addresses) pair —
-and therefore each event's additive contribution — repeats across profiled
-blocks; contributions are cached keyed by those bytes.
+A warp's shared access serialises over the distinct words it touches on
+one bank (same-word lanes broadcast for free), so each warp row
+contributes its presence, its worst-bank degree, and whether that degree
+exceeds one.  The scalar hook caches a row's contribution by its
+(mask, active addresses) bytes, which repeat across blocks because shared
+addresses are block-relative; the columnar ``consume`` instead reduces
+every warp row of an event in one pass of sorts and bincounts.
 """
 
 from __future__ import annotations
@@ -17,6 +21,9 @@ from repro.trace.passes.base import AnalysisPass, register_pass
 
 #: Number of shared-memory banks (4-byte interleave), as on GT200/Fermi.
 NUM_BANKS = 32
+
+#: Word bits kept below the bank field of a lane key.
+_WORD_MASK = (1 << 38) - 1
 
 
 @register_pass
@@ -42,7 +49,7 @@ class SharedPass(AnalysisPass):
             wid = np.flatnonzero(act) // WARP_SIZE
             # Distinct (warp, bank, word) triples: same-word lanes broadcast
             # for free; distinct words on the same bank serialise.
-            key = (wid << 44) | (bank << 38) | (word & ((1 << 38) - 1))
+            key = (wid << 44) | (bank << 38) | (word & _WORD_MASK)
             uniq = np.unique(key)
             wb = uniq >> 38  # (warp, bank) pairs
             pairs, counts = np.unique(wb, return_counts=True)
@@ -62,58 +69,32 @@ class SharedPass(AnalysisPass):
         s.conflicted += cached[2]
 
     def consume(self, batch):
-        # Shared addresses are block-relative, so blocks of one batch mostly
-        # repeat the same (mask, addresses) rows: one row-unique per event
-        # (inactive lanes pinned to -1, which no validated shared address
-        # can be) finds the distinct contributions, computed through the
-        # same byte-keyed cache as the scalar path.  Accumulation replays
-        # block-major so conflict_degree_sum adds floats in scalar order.
-        evs = []
+        # Each event reduces over all its (P * nwarps, 32) warp rows at once.
+        # Lanes are keyed by word (its low bits are the bank) with inactive
+        # lanes at -1; after a row sort, the first of each run of equal
+        # active keys is one distinct word, counted per (row, bank).  All
+        # three counters are integer sums over rows, so rows may reduce in
+        # any order (conflict_degree_sum adds integer degrees, exact below
+        # 2^53).  Events reduce one at a time: concatenating a batch's
+        # shared events costs more peak memory than it saves in time.
+        s = self._s
         for ev in batch.events:
             if ev[0] != "mem" or ev[2] is not MemSpace.SHARED:
                 continue
-            addrs, act = ev[5], ev[6]
-            uniq, inverse = np.unique(
-                np.where(act, addrs, -1), axis=0, return_inverse=True
+            act = ev[6].reshape(-1, WARP_SIZE)
+            key = np.where(act, (ev[5].reshape(-1, WARP_SIZE) >> 2) & _WORD_MASK, -1)
+            key.sort(axis=1)
+            first = key >= 0
+            first[:, 1:] &= key[:, 1:] != key[:, :-1]
+            cell = np.flatnonzero(first) // WARP_SIZE * NUM_BANKS + key[first] % NUM_BANKS
+            degree = (
+                np.bincount(cell, minlength=act.shape[0] * NUM_BANKS)
+                .reshape(-1, NUM_BANKS)
+                .max(axis=1)
             )
-            inverse = inverse.reshape(-1)
-            cs = []
-            for row in uniq:
-                act_u = row != -1
-                active = row[act_u]
-                ckey = act_u.tobytes() + active.tobytes()
-                cached = self._cache.get(ckey)
-                if cached is None:
-                    nwarps = act_u.size // WARP_SIZE
-                    word = active >> 2
-                    bank = word % NUM_BANKS
-                    wid = np.flatnonzero(act_u) // WARP_SIZE
-                    key = (wid << 44) | (bank << 38) | (word & ((1 << 38) - 1))
-                    wb = np.unique(key) >> 38
-                    pairs, counts = np.unique(wb, return_counts=True)
-                    warp_of = pairs >> 6
-                    degree = np.zeros(nwarps, dtype=np.int64)
-                    np.maximum.at(degree, warp_of, counts)
-                    present = np.zeros(nwarps, dtype=bool)
-                    present[warp_of] = True
-                    cached = (
-                        int(present.sum()),
-                        float(degree[present].sum()),
-                        int((degree[present] > 1).sum()),
-                    )
-                    self._cache[ckey] = cached
-                cs.append(cached)
-            evs.append((inverse, cs))
-        if not evs:
-            return
-        s = self._s
-        for i in range(len(batch.block_ids)):
-            for inverse, cs in evs:
-                c = cs[inverse[i]]
-                if c[0]:
-                    s.accesses += c[0]
-                    s.conflict_degree_sum += c[1]
-                    s.conflicted += c[2]
+            s.accesses += int(np.count_nonzero(degree))
+            s.conflict_degree_sum += float(degree.sum())
+            s.conflicted += int(np.count_nonzero(degree > 1))
 
     def end_kernel(self, profile):
         self._s = None

@@ -182,6 +182,24 @@ def test_serial_run_produces_span_tree_and_pass_costs(global_tele):
     assert t.histograms["engine.compiled.batch_blocks"].count > 0
 
 
+def test_pass_event_counts_agree_across_engines(global_tele):
+    # RD has shared, global and branch events: every pass counts the
+    # participating rows it subscribes to, on the callback path (the
+    # interpreter) and the columnar one (the compiled engine) alike.
+    from repro.trace.profile import PASS_NAMES
+    from repro.workloads.runner import run_workload
+
+    counts = {}
+    for engine in ("interpreted", "compiled"):
+        global_tele.reset()
+        run_workload("RD", verify=False, sample_blocks=8, engine=engine)
+        c = global_tele.counters
+        counts[engine] = {name: c[f"pass.{name}.events"] for name in PASS_NAMES}
+    assert counts["compiled"] == counts["interpreted"]
+    assert counts["compiled"]["shared"] > 0 and counts["compiled"]["coalescing"] > 0
+    assert counts["compiled"]["branch"] > 0 and counts["compiled"]["texture"] == 0
+
+
 def test_parallel_run_merges_worker_spans_with_correct_parents(global_tele):
     _characterize(jobs=2, abbrevs=["VA", "BS"])
     t = global_tele

@@ -2,21 +2,32 @@
 
 Covers the pass registry, demand-driven subset collection (subset-run
 sections must be bit-identical to the full run's, on both engines), the
-collector-config validation, and section-level profile merging.
+collector-config validation, section-level profile merging, and the
+vectorized ``consume`` of the shared, branch and mix passes against the
+base-class scalar replay on random event batches.
 """
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.simt.events import EventBatch
+from repro.simt.ir import MemSpace, OpCategory
+from repro.simt.types import WARP_SIZE
 from repro.trace import PASS_FIELDS, PASS_NAMES, merge_profiles
 from repro.trace.collector import CollectorConfig, KernelTraceCollector
 from repro.trace.passes import (
+    AnalysisPass,
     get_pass,
     pass_names,
     pass_source_file,
     resolve_passes,
 )
-from repro.trace.profile import WorkloadProfile, canonical_passes
+from repro.trace.passes.shared import NUM_BANKS
+from repro.trace.profile import KernelProfile, WorkloadProfile, canonical_passes
 from repro.trace.serialize import (
+    kernel_section_bytes,
     workload_header_bytes,
     workload_section_bytes,
 )
@@ -137,3 +148,101 @@ def test_merge_profiles_rejects_header_mismatch():
     base = _profile("VA", "compiled", passes=("mix",))
     other = _profile("HG", "compiled", passes=("branch",))
     assert merge_profiles(base, other, other.passes) is None
+
+
+# ---------------------------------------------------------------------------
+# Vectorized consume vs the base-class scalar replay
+
+#: Warps per block, covering the pairwise-summation boundary at 8.
+NWARPS_CHOICES = [1, 2, 7, 8, 9, 16, 32]
+
+
+class _Stmt:
+    def __init__(self, sid):
+        self.sid = sid
+        self.category = list(OpCategory)[sid]
+
+
+@st.composite
+def event_batches(draw):
+    """A kernel's worth of random EventBatches with one block geometry.
+
+    Rows mix partly inactive warps, all-inactive rows, rows repeated across
+    blocks (shared addresses are block-relative) and bank-conflict-heavy
+    addresses; each event has at least one participating row, as the
+    recorder guarantees.
+    """
+    nwarps = draw(st.sampled_from(NWARPS_CHOICES))
+    npad = nwarps * WARP_SIZE
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stmts = [_Stmt(sid) for sid in range(draw(st.integers(1, 6)))]
+
+    def lane_mask(P):
+        # Per row: all-inactive, or a random subset of warps with random lanes.
+        density = rng.choice([0.0, 0.3, 1.0], size=(P, 1))
+        warps = rng.random((P, nwarps)) < rng.choice([0.4, 1.0], size=(P, 1))
+        act = (rng.random((P, npad)) < density) & np.repeat(warps, WARP_SIZE, axis=1)
+        if rng.random() < 0.5:
+            act[rng.integers(P)] = act[0]  # a repeated row
+        if not act.any():
+            act[rng.integers(P), rng.integers(npad)] = True
+        return act
+
+    batches = []
+    next_block = 0
+    for _ in range(draw(st.integers(1, 3))):
+        P = draw(st.integers(1, 5))
+        events = []
+        tables = []
+        for _ in range(draw(st.integers(1, 12))):
+            kind = draw(st.sampled_from(["instr", "mem", "branch"]))
+            stmt = stmts[rng.integers(len(stmts))]
+            act = lane_mask(P)
+            warp_rows = act.reshape(P, nwarps, WARP_SIZE)
+            if kind == "instr":
+                # The recorder shares one table across events under one mask.
+                if not tables or rng.random() < 0.5:
+                    warp_mask = warp_rows.any(axis=2)
+                    tables.append(
+                        (act.sum(axis=1), warp_mask, np.count_nonzero(warp_mask, axis=1))
+                    )
+                table = tables[rng.integers(len(tables))]
+                events.append(("instr", stmt, stmt.category) + table)
+            elif kind == "mem":
+                space = MemSpace.SHARED if rng.random() < 0.8 else MemSpace.GLOBAL
+                # Few distinct words, many sharing a bank (stride 32 words).
+                words = rng.integers(0, 4, size=(P, npad)) * NUM_BANKS + rng.integers(
+                    0, draw(st.sampled_from([1, 3, 32])), size=(P, npad)
+                )
+                addrs = np.where(act, words * 4, rng.integers(-8, 1 << 20, size=(P, npad)))
+                addrs[1:][rng.random(P - 1) < 0.5] = addrs[0]
+                events.append(("mem", stmt, space, "ld", 4, addrs.astype(np.int64), act))
+            else:
+                wa = warp_rows.sum(axis=2)
+                wt = np.minimum(wa, rng.integers(0, WARP_SIZE + 1, size=wa.shape))
+                wt[rng.random(wa.shape) < 0.3] = 0
+                events.append(("branch", stmt, rng.choice(["if", "loop"]), wa, wt))
+        block_ids = tuple(range(next_block, next_block + P))
+        next_block += P
+        batches.append(EventBatch(block_ids, npad, nwarps, npad, events))
+    return batches
+
+
+def _sections(cls, batches, consume):
+    profile = KernelProfile("k", (1, 1), (32, 1), 1, 1, 32)
+    p = cls(CollectorConfig())
+    p.begin_kernel(None, profile)
+    for batch in batches:
+        consume(p, batch)
+    p.end_kernel(profile)
+    return kernel_section_bytes(profile, cls.name)
+
+
+@settings(max_examples=150, deadline=None)
+@given(event_batches())
+def test_vectorized_consume_matches_scalar_replay(batches):
+    for name in ("shared", "branch", "mix"):
+        cls = get_pass(name)
+        assert _sections(cls, batches, cls.consume) == _sections(
+            cls, batches, AnalysisPass.consume
+        ), f"pass {name!r}: vectorized consume differs from scalar replay"

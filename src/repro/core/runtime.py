@@ -32,6 +32,7 @@ requested workload order regardless of completion order.
 from __future__ import annotations
 
 import hashlib
+import logging
 import os
 import time
 import traceback as traceback_mod
@@ -57,6 +58,7 @@ from repro.trace.profile import WorkloadProfile, merge_profiles
 from repro.trace.serialize import dump_workload_profile, load_workload_profile
 from repro.workloads.runner import DEFAULT_SAMPLE_BLOCKS, run_workload
 
+_log = logging.getLogger(__name__)
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -448,8 +450,13 @@ class ProfileCache:
             return None
         try:
             profile, meta = load_workload_profile(path)
-        except Exception:
-            # A torn/corrupt/old-format shard behaves as a miss and is rebuilt.
+        except Exception as exc:
+            # A torn/corrupt/old-format shard behaves as a miss and is
+            # rebuilt, but never silently.
+            get_telemetry().count("runtime.cache.corrupt")
+            _log.warning(
+                "profile cache: unreadable shard %s (%s); rebuilding", path, type(exc).__name__
+            )
             return None
         stored = meta.get("pass_digests") or {}
         missing = tuple(

@@ -51,11 +51,15 @@ always cover ascending linear block ids, the invariant above is unchanged
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.simt.types import WARP_SIZE
+
+#: Lanes per :meth:`EventBatch.mem_chunks` chunk: bounds the working set
+#: of the memory passes' whole-batch reductions.
+MEM_CHUNK_LANES = 1 << 15
 
 
 class EventBatch:
@@ -79,6 +83,38 @@ class EventBatch:
 
     def __len__(self) -> int:
         return len(self.block_ids)
+
+    def mem_chunks(self, space) -> Iterator[tuple]:
+        """Yield the batch's ``space`` memory events stacked in bounded chunks.
+
+        Each chunk is ``(events, addrs, act, carry)``: the chunk's event
+        tuples, their ``(E, B, npad)`` address and mask rows for a run of
+        ``B`` blocks, and ``carry``.  Chunks cover whole runs of blocks
+        where those blocks' events fit in ``MEM_CHUNK_LANES`` lanes.  A block
+        whose events alone do not fit is split along the event axis; its
+        chunks then share one fresh ``carry`` dict, so a consumer can carry
+        per-block state from one chunk to the next (``None`` otherwise).
+        Chunks come block ascending, then in event order.
+        """
+        evs = [ev for ev in self.events if ev[0] == "mem" and ev[2] is space]
+        if not evs:
+            return
+        P = len(self.block_ids)
+        step_b = MEM_CHUNK_LANES // (len(evs) * self.npad)
+        step_e = len(evs) if step_b else max(1, MEM_CHUNK_LANES // self.npad)
+        step_b = max(step_b, 1)
+        for b0 in range(0, P, step_b):
+            blocks = slice(b0, b0 + step_b)
+            carry = {} if step_e < len(evs) else None
+            for e0 in range(0, len(evs), step_e):
+                part = evs[e0 : e0 + step_e]
+                shape = (len(part), -1, self.npad)
+                yield (
+                    part,
+                    np.concatenate([ev[5][blocks] for ev in part]).reshape(shape),
+                    np.concatenate([ev[6][blocks] for ev in part]).reshape(shape),
+                    carry,
+                )
 
     def replay(self, sink) -> None:
         """Scalar-replay the batch through a sink's per-event callbacks.

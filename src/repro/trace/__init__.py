@@ -29,7 +29,6 @@ from repro.trace.profile import (
     WorkloadProfile,
     merge_profiles,
 )
-from repro.trace.reuse import ReuseDistanceTracker
 from repro.trace.serialize import dump_profiles, load_profiles
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "NUM_BANKS",
     "PASS_FIELDS",
     "PASS_NAMES",
-    "ReuseDistanceTracker",
     "SEG_LARGE",
     "SEG_SMALL",
     "SharedMemStats",

@@ -13,10 +13,86 @@ from repro.simt.types import WARP_SIZE
 from repro.trace.passes.base import AnalysisPass, register_pass
 
 
-def _distinct_per_row(values: np.ndarray) -> np.ndarray:
-    """Count distinct values per row of a 2-D array."""
-    ordered = np.sort(values, axis=1)
-    return (np.diff(ordered, axis=1) != 0).sum(axis=1) + 1
+def _warp_row_stats(g, cfg, A: np.ndarray, M: np.ndarray, elem: np.ndarray) -> None:
+    """Fold ``(n, WARP_SIZE)`` warp rows, each with an active lane, into ``g``.
+
+    ``elem`` holds each row's element size.  Every counter is an integer
+    sum over independent rows, so rows may come in any order.
+    """
+    n = A.shape[0]
+    active_cnt = np.count_nonzero(M, axis=1)
+    g.accesses += n
+    g.lane_accesses += int(active_cnt.sum())
+
+    # Transactions: distinct segments touched per warp, at two
+    # granularities.  Inactive lanes are filled with the warp's first
+    # active address so they never add segments; a right shift keeps the
+    # sorted order, so one sort serves both granularities.
+    fill = A[np.arange(n), M.argmax(axis=1)][:, None]
+    ordered = np.sort(np.where(M, A, fill), axis=1)
+    t32 = np.count_nonzero(np.diff(ordered >> cfg.seg_small_bits, axis=1), axis=1) + 1
+    t128 = np.count_nonzero(np.diff(ordered >> cfg.seg_large_bits, axis=1), axis=1) + 1
+    g.transactions_32b += int(t32.sum())
+    g.transactions_128b += int(t128.sum())
+    minimal = -(-(active_cnt * elem) // cfg.seg_small)
+    g.coalesced += int(np.count_nonzero(t32 <= minimal))
+
+    # Intra-warp stride classification over adjacent active lane pairs.  A
+    # warp without such a pair (one active lane, or none adjacent) counts
+    # as a broadcast and never as unit stride.
+    d = A[:, 1:] - A[:, :-1]
+    invalid = ~(M[:, 1:] & M[:, :-1])
+    has_pair = ~invalid.all(axis=1)
+    unit = ((d == elem[:, None]) | invalid).all(axis=1)
+    g.unit_stride += int(np.count_nonzero(has_pair & unit))
+    g.broadcast += int(np.count_nonzero(((d == 0) | invalid).all(axis=1)))
+
+
+def _local_strides(ls: Dict[str, int], addrs, act, sids, elem, carry) -> None:
+    """Histogram per-lane consecutive address distances under each sid.
+
+    ``addrs``/``act`` are ``(E, L)`` rows of ``E`` events in order over one
+    set of ``L`` lanes (independent threads).  Stable-sorting the events by
+    sid and forward-filling each lane's last participating event gives
+    every participating lane its predecessor under the same static
+    instruction.  ``carry`` (or ``None``) maps a sid to its lanes' last
+    ``(address, seen)`` rows from earlier events; they join the rows as
+    each sid group's leading row, and leave updated.
+    """
+    if carry:
+        held = [s for s in dict.fromkeys(sids) if s in carry]
+        if held:
+            addrs = np.concatenate([np.stack([carry[s][0] for s in held]), addrs])
+            act = np.concatenate([np.stack([carry[s][1] for s in held]), act])
+            sids = held + sids
+            elem = np.concatenate([np.zeros(len(held), dtype=np.int64), elem])
+    E = len(sids)
+    sid = np.array(sids)
+    order = np.argsort(sid, kind="stable")
+    sorted_sid = sid[order]
+    new_group = np.concatenate(([True], sorted_sid[1:] != sorted_sid[:-1]))
+    group_start = np.maximum.accumulate(np.where(new_group, np.arange(E), 0))
+    participating = act[order]
+    last = np.where(participating, np.arange(E, dtype=np.int32)[:, None], np.int32(-1))
+    np.maximum.accumulate(last, axis=0, out=last)
+    # Sorted event r + 1 pairs with its lane's last participant up to r.
+    pred = last[:-1]
+    row, lane = np.nonzero(participating[1:] & (pred >= group_start[1:, None]))
+    if row.size:
+        cur = order[row + 1]
+        diffs = np.abs(addrs[cur, lane] - addrs[order[pred[row, lane]], lane])
+        e = elem[cur]
+        ls["zero"] += int(np.count_nonzero(diffs == 0))
+        ls["unit"] += int(np.count_nonzero(diffs == e))
+        ls["short"] += int(np.count_nonzero((diffs > e) & (diffs <= 128)))
+        ls["long"] += int(np.count_nonzero(diffs > 128))
+    if carry is not None:
+        ends = np.flatnonzero(np.append(new_group[1:], True))
+        tail = last[ends]
+        held_addr = addrs[order[np.maximum(tail, 0)], np.arange(addrs.shape[1])]
+        seen = tail >= group_start[ends][:, None]
+        for g, end in enumerate(ends):
+            carry[sorted_sid[end]] = (held_addr[g], seen[g])
 
 
 @register_pass
@@ -36,127 +112,30 @@ class CoalescingPass(AnalysisPass):
     def end_block(self):
         self._prev_addr = {}
 
-    def on_mem(self, stmt, kind, elem_size, addrs, act):
-        g = self._g
-        nwarps = act.size // WARP_SIZE
-        A = addrs.reshape(nwarps, WARP_SIZE)
-        M = act.reshape(nwarps, WARP_SIZE)
+    def _fold(self, sids, elem, addrs, act, carry) -> None:
+        """Fold ``E`` events' ``(E, B, npad)`` rows over one run of blocks
+        (``sids``/``elem``: each event's static id and element size)."""
+        E = len(sids)
+        A = addrs.reshape(-1, WARP_SIZE)
+        M = act.reshape(-1, WARP_SIZE)
         warp_has = M.any(axis=1)
-        if not warp_has.any():
-            return
-        A = A[warp_has]
-        M = M[warp_has]
-        n = A.shape[0]
-        g.accesses += n
-        g.lane_accesses += int(M.sum())
+        row_elem = np.repeat(elem, M.shape[0] // E)
+        _warp_row_stats(self._g, self.config, A[warp_has], M[warp_has], row_elem[warp_has])
+        _local_strides(
+            self._g.local_strides, addrs.reshape(E, -1), act.reshape(E, -1), sids, elem, carry
+        )
 
-        # Transactions: distinct segments touched per warp, at two
-        # granularities.  Inactive lanes are filled with the warp's first
-        # active address so they never add segments.
-        first = M.argmax(axis=1)
-        fill = A[np.arange(n), first][:, None]
-        addr_f = np.where(M, A, fill)
-        t32 = _distinct_per_row(addr_f >> self.config.seg_small_bits)
-        t128 = _distinct_per_row(addr_f >> self.config.seg_large_bits)
-        g.transactions_32b += int(t32.sum())
-        g.transactions_128b += int(t128.sum())
-        active_cnt = M.sum(axis=1)
-        minimal = -(-(active_cnt * elem_size) // self.config.seg_small)
-        g.coalesced += int((t32 <= minimal).sum())
-
-        # Intra-warp stride classification over adjacent active lane pairs.
-        d = A[:, 1:] - A[:, :-1]
-        valid = M[:, 1:] & M[:, :-1]
-        has_pair = valid.any(axis=1)
-        unit = np.where(has_pair, ((d == elem_size) | ~valid).all(axis=1), False)
-        bcast = np.where(has_pair, ((d == 0) | ~valid).all(axis=1), active_cnt > 0)
-        single = active_cnt == 1
-        g.unit_stride += int((unit & ~single).sum())
-        g.broadcast += int((bcast | single).sum())
-
-        # Per-lane (per-thread) consecutive stride histogram, keyed per
-        # static instruction.
-        state = self._prev_addr.get(stmt.sid)
-        if state is None:
-            prev = np.zeros(addrs.size, dtype=np.int64)
-            seen = np.zeros(addrs.size, dtype=bool)
-            self._prev_addr[stmt.sid] = (prev, seen)
-        else:
-            prev, seen = state
-            both = act & seen
-            if both.any():
-                diffs = np.abs(addrs[both] - prev[both])
-                ls = g.local_strides
-                ls["zero"] += int((diffs == 0).sum())
-                ls["unit"] += int((diffs == elem_size).sum())
-                ls["short"] += int(((diffs > elem_size) & (diffs <= 128)).sum())
-                ls["long"] += int((diffs > 128).sum())
-        # The arrays are pass-owned: mutate in place, no defensive copy.
-        prev[act] = addrs[act]
-        seen |= act
+    def on_mem(self, stmt, kind, elem_size, addrs, act):
+        # Local-stride state persists across the current block's events.
+        elem = np.array([elem_size], dtype=np.int64)
+        self._fold([stmt.sid], elem, addrs[None], act[None], self._prev_addr)
 
     def consume(self, batch):
-        # Every counter here is an integer sum over independent warp rows,
-        # so stacking all blocks' warps into one matrix per event is exact
-        # regardless of traversal order.  Local-stride state lives in
-        # per-batch flat (P * npad) arrays: each block appears once per
-        # batch, which reproduces the scalar per-block reset, and lanes
-        # only update on events they participate in — matching the scalar
-        # participation guard lane-for-lane.
-        g = self._g
-        cfg = self.config
-        prev_state: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        for ev in batch.events:
-            if ev[0] != "mem" or ev[2] is not MemSpace.GLOBAL:
-                continue
-            elem_size, addrs, act = ev[4], ev[5], ev[6]
-            A2 = addrs.reshape(-1, WARP_SIZE)
-            M2 = act.reshape(-1, WARP_SIZE)
-            warp_has = M2.any(axis=1)
-            if warp_has.any():
-                A = A2[warp_has]
-                M = M2[warp_has]
-                n = A.shape[0]
-                g.accesses += n
-                g.lane_accesses += int(M.sum())
-                first = M.argmax(axis=1)
-                fill = A[np.arange(n), first][:, None]
-                addr_f = np.where(M, A, fill)
-                t32 = _distinct_per_row(addr_f >> cfg.seg_small_bits)
-                t128 = _distinct_per_row(addr_f >> cfg.seg_large_bits)
-                g.transactions_32b += int(t32.sum())
-                g.transactions_128b += int(t128.sum())
-                active_cnt = M.sum(axis=1)
-                minimal = -(-(active_cnt * elem_size) // cfg.seg_small)
-                g.coalesced += int((t32 <= minimal).sum())
-                d = A[:, 1:] - A[:, :-1]
-                valid = M[:, 1:] & M[:, :-1]
-                has_pair = valid.any(axis=1)
-                unit = np.where(has_pair, ((d == elem_size) | ~valid).all(axis=1), False)
-                bcast = np.where(has_pair, ((d == 0) | ~valid).all(axis=1), active_cnt > 0)
-                single = active_cnt == 1
-                g.unit_stride += int((unit & ~single).sum())
-                g.broadcast += int((bcast | single).sum())
-
-            flat_act = act.reshape(-1)
-            flat_addr = addrs.reshape(-1)
-            state = prev_state.get(ev[1].sid)
-            if state is None:
-                prev = np.zeros(flat_act.size, dtype=np.int64)
-                seen = np.zeros(flat_act.size, dtype=bool)
-                prev_state[ev[1].sid] = (prev, seen)
-            else:
-                prev, seen = state
-                both = flat_act & seen
-                if both.any():
-                    diffs = np.abs(flat_addr[both] - prev[both])
-                    ls = g.local_strides
-                    ls["zero"] += int((diffs == 0).sum())
-                    ls["unit"] += int((diffs == elem_size).sum())
-                    ls["short"] += int(((diffs > elem_size) & (diffs <= 128)).sum())
-                    ls["long"] += int((diffs > 128).sum())
-            prev[flat_act] = flat_addr[flat_act]
-            seen |= flat_act
+        # Each block appears in one batch only, which reproduces the scalar
+        # per-block reset of local-stride state.
+        for evs, addrs, act, carry in batch.mem_chunks(MemSpace.GLOBAL):
+            elem = np.array([ev[4] for ev in evs], dtype=np.int64)
+            self._fold([ev[1].sid for ev in evs], elem, addrs, act, carry)
 
     def end_kernel(self, profile):
         self._g = None

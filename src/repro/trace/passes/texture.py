@@ -12,7 +12,7 @@ import numpy as np
 from repro.simt.ir import MemSpace
 from repro.simt.types import WARP_SIZE
 from repro.trace.passes.base import AnalysisPass, register_pass
-from repro.trace.reuse import ReuseDistanceTracker
+from repro.trace.reuse import ReuseStream, distinct_lines
 
 
 @register_pass
@@ -24,47 +24,27 @@ class TexturePass(AnalysisPass):
 
     def begin_kernel(self, kernel, profile):
         self._t = profile.texture
-        self._tracker = ReuseDistanceTracker() if self.config.track_reuse else None
+        self._stream = ReuseStream() if self.config.track_reuse else None
+
+    def _fold(self, addrs, act):
+        """Fold ``(E, B, npad)`` event rows over a run of blocks; block-major
+        rows give each (block, event) its lines in scalar order."""
+        t = self._t
+        t.accesses += int(np.count_nonzero(act.reshape(-1, WARP_SIZE).any(axis=1)))
+        t.lane_accesses += int(np.count_nonzero(act))
+        if self._stream is not None:
+            rows = (addrs.swapaxes(0, 1), act.swapaxes(0, 1))
+            self._stream.extend(distinct_lines(*rows, self.config.line_bits))
 
     def on_mem(self, stmt, kind, elem_size, addrs, act):
-        t = self._t
-        nwarps = act.size // WARP_SIZE
-        warp_has = act.reshape(nwarps, WARP_SIZE).any(axis=1)
-        t.accesses += int(warp_has.sum())
-        t.lane_accesses += int(act.sum())
-        if self._tracker is not None:
-            lines = np.unique(addrs[act] >> self.config.line_bits)
-            self._tracker.access_many(lines)
+        self._fold(addrs[None, None], act[None, None])
 
     def consume(self, batch):
-        # Access counters are integer sums over warp rows (exact in any
-        # order); the fetch stream's reuse tracker is sequential and
-        # replays block-major like the reuse pass.
-        t = self._t
-        evs = []
-        for ev in batch.events:
-            if ev[0] != "mem" or ev[2] is not MemSpace.TEXTURE:
-                continue
-            addrs, act = ev[5], ev[6]
-            t.accesses += int(act.reshape(-1, WARP_SIZE).any(axis=1).sum())
-            t.lane_accesses += int(act.sum())
-            if self._tracker is not None:
-                evs.append((addrs >> self.config.line_bits, act))
-        if not evs:
-            return
-        tracker = self._tracker
-        for i in range(len(batch.block_ids)):
-            for lines, act in evs:
-                row = act[i]
-                if row.any():
-                    tracker.access_many(np.unique(lines[i][row]))
+        for _, addrs, act, _ in batch.mem_chunks(MemSpace.TEXTURE):
+            self._fold(addrs, act)
 
     def end_kernel(self, profile):
-        if self._tracker is not None:
-            t = profile.texture
-            t.reuse_histogram = self._tracker.histogram.copy()
-            t.cold_misses = self._tracker.cold_misses
-            t.line_accesses = self._tracker.accesses
-            t.unique_lines = self._tracker.unique_lines
+        if self._stream is not None:
+            self._stream.fill(profile.texture)
         self._t = None
-        self._tracker = None
+        self._stream = None

@@ -1,12 +1,13 @@
 """Parallel characterization runtime: parity, sharded cache, fault isolation."""
 
 import importlib.util
+import logging
 import os
 import sys
 
 import pytest
 
-from repro.api import characterize
+from repro.api import characterize, trace_session
 from repro.core import metrics
 from repro.core.runtime import (
     CharacterizationConfig,
@@ -274,14 +275,20 @@ def test_editing_one_pass_reruns_only_that_pass(cache_dir, monkeypatch):
     assert warm.workloads("workload_started") == []
 
 
-def test_corrupt_shard_is_treated_as_miss(cache_dir):
+def test_corrupt_shard_is_treated_as_miss(cache_dir, caplog):
     config = CharacterizationConfig(abbrevs=["VA"], sample_blocks=8)
     run_characterization(config)
     shard = next(cache_dir.glob("*.profile.json"))
     shard.write_text("{ not json")
-    result = run_characterization(config)
+    with trace_session() as tele, caplog.at_level(logging.WARNING, "repro.core.runtime"):
+        result = run_characterization(config)
     assert result.cache_misses == 1
     assert result.profiles[0].workload == "VA"
+    # The recovery is loud: one counter tick and one warning naming the shard.
+    assert tele.counters.get("runtime.cache.corrupt") == 1
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1 and str(shard) in warnings[0]
+    assert "\n" not in warnings[0]
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,19 @@
 
 Covers the pass registry, demand-driven subset collection (subset-run
 sections must be bit-identical to the full run's, on both engines), the
-collector-config validation, section-level profile merging, and the
-vectorized ``consume`` of the shared, branch and mix passes against the
-base-class scalar replay on random event batches.
+collector-config validation, section-level profile merging, and every
+pass's vectorized ``consume`` against the base-class scalar replay on
+random event batches.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.simt import events as events_mod
 from repro.simt.events import EventBatch
 from repro.simt.ir import MemSpace, OpCategory
 from repro.simt.types import WARP_SIZE
@@ -155,6 +158,7 @@ def test_merge_profiles_rejects_header_mismatch():
 
 #: Warps per block, covering the pairwise-summation boundary at 8.
 NWARPS_CHOICES = [1, 2, 7, 8, 9, 16, 32]
+SPACES = [MemSpace.SHARED, MemSpace.GLOBAL, MemSpace.TEXTURE]
 
 
 class _Stmt:
@@ -168,8 +172,10 @@ def event_batches(draw):
     """A kernel's worth of random EventBatches with one block geometry.
 
     Rows mix partly inactive warps, all-inactive rows, rows repeated across
-    blocks (shared addresses are block-relative) and bank-conflict-heavy
-    addresses; each event has at least one participating row, as the
+    blocks (shared addresses are block-relative), bank-conflict-heavy and
+    unit-stride addresses.  Memory events span the shared, global and
+    texture spaces with 4- and 8-byte elements, and sids repeat across
+    events.  Each event has at least one participating row, as the
     recorder guarantees.
     """
     nwarps = draw(st.sampled_from(NWARPS_CHOICES))
@@ -209,14 +215,22 @@ def event_batches(draw):
                 table = tables[rng.integers(len(tables))]
                 events.append(("instr", stmt, stmt.category) + table)
             elif kind == "mem":
-                space = MemSpace.SHARED if rng.random() < 0.8 else MemSpace.GLOBAL
-                # Few distinct words, many sharing a bank (stride 32 words).
-                words = rng.integers(0, 4, size=(P, npad)) * NUM_BANKS + rng.integers(
-                    0, draw(st.sampled_from([1, 3, 32])), size=(P, npad)
-                )
-                addrs = np.where(act, words * 4, rng.integers(-8, 1 << 20, size=(P, npad)))
+                space = SPACES[rng.choice(3, p=[0.5, 0.35, 0.15])]
+                elem = int(rng.choice([4, 8]))
+                if rng.random() < 0.6:
+                    # Few distinct words, many sharing a bank (stride 32 words).
+                    words = rng.integers(0, 4, size=(P, npad)) * NUM_BANKS + rng.integers(
+                        0, draw(st.sampled_from([1, 3, 32])), size=(P, npad)
+                    )
+                    addrs = words * 4
+                else:
+                    # Unit-stride lanes from a shifting base: unit, short and
+                    # long local strides, segment-aligned or not.
+                    base = rng.integers(0, 4) * rng.choice([elem, 96, 4096]) + rng.choice([0, 4])
+                    addrs = base + np.arange(npad)[None, :] * elem + np.zeros((P, 1), np.int64)
+                addrs = np.where(act, addrs, rng.integers(-8, 1 << 20, size=(P, npad)))
                 addrs[1:][rng.random(P - 1) < 0.5] = addrs[0]
-                events.append(("mem", stmt, space, "ld", 4, addrs.astype(np.int64), act))
+                events.append(("mem", stmt, space, "ld", elem, addrs.astype(np.int64), act))
             else:
                 wa = warp_rows.sum(axis=2)
                 wt = np.minimum(wa, rng.integers(0, WARP_SIZE + 1, size=wa.shape))
@@ -239,10 +253,13 @@ def _sections(cls, batches, consume):
 
 
 @settings(max_examples=150, deadline=None)
-@given(event_batches())
-def test_vectorized_consume_matches_scalar_replay(batches):
-    for name in ("shared", "branch", "mix"):
-        cls = get_pass(name)
-        assert _sections(cls, batches, cls.consume) == _sections(
-            cls, batches, AnalysisPass.consume
-        ), f"pass {name!r}: vectorized consume differs from scalar replay"
+@given(event_batches(), st.sampled_from([32, 96, 1024, events_mod.MEM_CHUNK_LANES]))
+def test_vectorized_consume_matches_scalar_replay(batches, chunk_lanes):
+    # Small memory chunks split blocks along the event axis, so local-stride
+    # state must carry across chunks.
+    with mock.patch.object(events_mod, "MEM_CHUNK_LANES", chunk_lanes):
+        for name in ("shared", "branch", "mix", "coalescing", "reuse", "texture"):
+            cls = get_pass(name)
+            assert _sections(cls, batches, cls.consume) == _sections(
+                cls, batches, AnalysisPass.consume
+            ), f"pass {name!r}: vectorized consume differs from scalar replay"

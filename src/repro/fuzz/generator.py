@@ -25,9 +25,14 @@ The grammar is *seed-gated*: seeds at or above :data:`ALIAS_SEED_BASE` draw
 from an extended kind set that additionally reads the writable ``out`` /
 ``fout`` buffers (``oload``) and stores into fixed low-index bands of them
 (``bandstore``), exercising the batch planner's footprint analysis with
-genuine load/store and store/store aliasing.  Seeds below the base keep the
-original grammar bit-for-bit, so every previously committed corpus entry
-still regenerates from its seed unchanged.
+genuine load/store and store/store aliasing.  Seeds at or above
+:data:`STRIDE_SEED_BASE` further draw block-stride loops (``sloop``: ``j =
+tid.x; while j < m·ntid.x: …; j += ntid.x`` over a per-block tile of a
+dedicated ``tile`` buffer) and indirect loads from the read-only inputs
+(``roload``), the shapes the planner's counted-loop and per-site load
+refinements reason about.  Seeds below each base keep the grammar below it
+bit-for-bit, so every previously committed corpus entry still regenerates
+from its seed unchanged.
 """
 
 from __future__ import annotations
@@ -53,6 +58,9 @@ SHARED_ELEMS = 64
 ATOMIC_ELEMS = 16
 FATOMIC_ELEMS = 8
 OVERLAP_WINDOWS = (4, 8)
+#: Rows per block tile in the stride band's ``tile`` buffer: an ``sloop``
+#: walks ``m ≤ TILE_ROWS`` rows of ``ntid.x`` elements per block.
+TILE_ROWS = 3
 
 _INT_OPS = ("iadd", "isub", "imul", "imin", "imax", "iand", "ior", "ixor")
 _INT_UNARY = ("ineg", "iabs")
@@ -70,7 +78,12 @@ _ATOMIC_OPS = ("add", "min", "max", "exch", "cas")
 def generate_case(seed: int) -> Case:
     """Generate one fuzz case deterministically from ``seed``."""
     rng = random.Random(seed)
-    kinds = ALIAS_STMT_KINDS if seed >= ALIAS_SEED_BASE else STMT_KINDS
+    if seed >= STRIDE_SEED_BASE:
+        kinds = STRIDE_STMT_KINDS
+    elif seed >= ALIAS_SEED_BASE:
+        kinds = ALIAS_STMT_KINDS
+    else:
+        kinds = STMT_KINDS
     block_x = rng.choice((32, 48, 64))
     block_y = 2 if rng.random() < 0.12 else 1
     grid = rng.randint(2, 6)
@@ -97,7 +110,7 @@ def _gen_stmts(
 
 
 #: Statement kinds and sampling weights — the generator's whole grammar.
-#: ``if``/``while`` only occur above the nesting cutoff in ``_gen_stmt``.
+#: Nesting kinds only occur above the cutoff in ``_gen_stmt``.
 STMT_KINDS: Tuple[Tuple[str, float], ...] = (
     ("iop", 10.0),
     ("shift", 2.0),
@@ -133,16 +146,28 @@ ALIAS_STMT_KINDS: Tuple[Tuple[str, float], ...] = STMT_KINDS + (
     ("bandstore", 2.0),
 )
 
+#: Seeds at or above this value draw the block-stride grammar band, and
+#: their kernels bind the extra ``tile`` buffer.
+STRIDE_SEED_BASE = 1 << 24
+
+#: The aliasing grammar plus block-stride loops and read-only indirect loads.
+STRIDE_STMT_KINDS: Tuple[Tuple[str, float], ...] = ALIAS_STMT_KINDS + (
+    ("sloop", 2.5),
+    ("roload", 2.0),
+)
+
+_NESTING_KINDS = ("if", "while", "sloop")
+
 
 def _gen_stmt(
     rng: random.Random, depth: int, kinds: Tuple[Tuple[str, float], ...] = STMT_KINDS
 ) -> Dict[str, Any]:
-    avail = [(k, w) for k, w in kinds if depth < 2 or k not in ("if", "while")]
+    avail = [(k, w) for k, w in kinds if depth < 2 or k not in _NESTING_KINDS]
     names = [k for k, _ in avail]
     weights = [w for _, w in avail]
     kind = rng.choices(names, weights=weights, k=1)[0]
     gen = getattr(_CaseGen, kind)
-    if kind in ("if", "while"):
+    if kind in _NESTING_KINDS:
         return gen(rng, depth, kinds)
     return gen(rng, depth)
 
@@ -254,6 +279,12 @@ class _CaseGen:
         }
 
     @staticmethod
+    def roload(rng, depth):
+        # An input element at an index loaded from memory: opaque to the
+        # affine analysis, but from a buffer the kernel never writes.
+        return {"k": "roload", "buf": rng.choice(("inp", "finp")), "d": rng.randrange(4)}
+
+    @staticmethod
     def sstore(rng, depth):
         return {"k": "sstore", "mode": rng.choice(("tid", "xlane", "rand")), "src": rng.randrange(4), "r": rng.randrange(4)}
 
@@ -307,6 +338,15 @@ class _CaseGen:
             "body": _gen_stmts(rng, depth + 1, rng.randint(1, 3), kinds),
         }
 
+    @staticmethod
+    def sloop(rng, depth, kinds=STMT_KINDS):
+        return {
+            "k": "sloop",
+            "m": rng.randint(1, TILE_ROWS),
+            "src": rng.randrange(4),
+            "body": _gen_stmts(rng, depth + 1, rng.randint(0, 2), kinds),
+        }
+
 
 _CaseGen.if_.__name__ = "if"
 setattr(_CaseGen, "if", _CaseGen.if_)
@@ -346,6 +386,8 @@ class _Emitter:
         self.abuf = b.param_buf("abuf", DType.I32)
         self.fabuf = b.param_buf("fabuf", DType.F32)
         self.shared = b.shared("s", SHARED_ELEMS, DType.I32)
+        if case["seed"] >= STRIDE_SEED_BASE:
+            self.tile = b.param_buf("tile", DType.I32)
 
         gid = b.global_thread_id()
         self.i = [
@@ -521,6 +563,30 @@ class _Emitter:
         else:
             b.st(self.fout, idx, self.f[s["src"]])
 
+    def _s_roload(self, s):
+        b = self.b
+        idx = b.imod(b.iand(b.ld(self.inp, self.gid()), 0x7FFFFFFF), self.n)
+        if s["buf"] == "inp":
+            b.assign(self.i[s["d"]], b.ld(self.inp, idx))
+        else:
+            b.assign(self.f[s["d"]], b.ld(self.finp, idx))
+
+    def _s_sloop(self, s):
+        # Block-stride walk of this block's m-row tile: every lane runs
+        # exactly m trips, read-modify-writing one tile element per trip.
+        b = self.b
+        span = b.imul(b.ntid_x, s["m"])
+        base = b.imul(b.ctaid_x, span)
+        j = b.let_i32(b.tid_x)
+        loop = b.while_loop()
+        with loop.cond():
+            loop.set_cond(b.ilt(j, span))
+        with loop.body():
+            self._lower(s["body"])
+            addr = b.iadd(base, j)
+            b.st(self.tile, addr, b.iadd(b.ld(self.tile, addr), self.i[s["src"]]))
+            b.assign(j, b.iadd(j, b.ntid_x))
+
     def _shared_index(self, mode: str, r: int) -> Any:
         b = self.b
         if mode == "tid":
@@ -611,6 +677,8 @@ def make_device(case: Case) -> Tuple[Device, Dict[str, DeviceBuffer]]:
         "abuf": dev.from_array("abuf", rng.integers(-10, 10, ATOMIC_ELEMS).astype(np.int64), DType.I32),
         "fabuf": dev.from_array("fabuf", rng.standard_normal(FATOMIC_ELEMS), DType.F32),
     }
+    if case["seed"] >= STRIDE_SEED_BASE:
+        bufs["tile"] = dev.alloc("tile", TILE_ROWS * n, DType.I32)
     return dev, bufs
 
 
@@ -629,7 +697,7 @@ def _count(stmts: List[Dict[str, Any]]) -> int:
         total += 1
         if s["k"] == "if":
             total += _count(s["then"]) + _count(s["else"])
-        elif s["k"] == "while":
+        elif s["k"] in ("while", "sloop"):
             total += _count(s["body"])
     return total
 
@@ -644,7 +712,7 @@ def describe_case(case: Case) -> str:
             if s["k"] == "if":
                 walk(s["then"])
                 walk(s["else"])
-            elif s["k"] == "while":
+            elif s["k"] in ("while", "sloop"):
                 walk(s["body"])
 
     walk(case["stmts"])

@@ -57,13 +57,13 @@ def _list_variants(stmts: List[Stmt]) -> Iterator[List[Stmt]]:
     # entire subtree in one predicate evaluation.
     for i in range(len(stmts)):
         yield stmts[:i] + stmts[i + 1 :]
-    # Control-flow flattening: an if/while replaced by (one of) its bodies.
+    # Control-flow flattening: an if/loop replaced by (one of) its bodies.
     for i, stmt in enumerate(stmts):
         if stmt["k"] == "if":
             yield stmts[:i] + stmt["then"] + stmts[i + 1 :]
             if stmt["else"]:
                 yield stmts[:i] + stmt["else"] + stmts[i + 1 :]
-        elif stmt["k"] == "while":
+        elif stmt["k"] in ("while", "sloop"):
             yield stmts[:i] + stmt["body"] + stmts[i + 1 :]
     # Recursive simplification inside nested bodies.
     for i, stmt in enumerate(stmts):
@@ -72,6 +72,6 @@ def _list_variants(stmts: List[Stmt]) -> Iterator[List[Stmt]]:
                 yield stmts[:i] + [{**stmt, "then": variant}] + stmts[i + 1 :]
             for variant in _list_variants(stmt["else"]):
                 yield stmts[:i] + [{**stmt, "else": variant}] + stmts[i + 1 :]
-        elif stmt["k"] == "while":
+        elif stmt["k"] in ("while", "sloop"):
             for variant in _list_variants(stmt["body"]):
                 yield stmts[:i] + [{**stmt, "body": variant}] + stmts[i + 1 :]

@@ -20,17 +20,20 @@ interpreter in :mod:`repro.simt.executor`:
   capturing per-event columnar buffers, delivered to sinks as one
   ``on_batch`` call.  Under the legacy *callback* event mode profiled
   blocks run singly and emit per-event sink callbacks.  Both modes produce
-  bit-identical device memory and profiles.  Kernels containing atomics
-  are never batched: atomic lane serialisation is defined in launch order,
-  which stacking would reorder.
+  bit-identical device memory and profiles.  Launches with an
+  order-visible atomic are never batched: atomic lane serialisation is
+  defined in launch order, which stacking would reorder.  Only integer
+  ADD/MIN/MAX atomics whose old value is never read, on a buffer nothing
+  else touches, commute and batch (see :func:`hazard_sites`).
 
 * **Batch planning** — lockstep program order lets an earlier block's
   later memory operation land after a later block's earlier one, so
   launches with a cross-block memory hazard — a global load that can
   observe a buffer the same launch stores to, two store sites that can hit
-  one buffer, or a store inside a loop (detected by a static base-pointer
-  dataflow resolved against the bound buffers, see :func:`_batch_hazard`)
-  — cannot batch blindly.  Instead of pinning every such launch to one
+  one buffer, or a store inside a loop (detected over the kernel's
+  per-site table of base-pointer sets, :attr:`CompiledKernel.sites`,
+  resolved against the bound buffers, see :func:`_batch_hazard`) — cannot
+  batch blindly.  Instead of pinning every such launch to one
   block per batch, :func:`plan_batches` refines the boolean hazard into
   three tiers backed by :mod:`repro.simt.footprint`:
 
@@ -58,7 +61,7 @@ in sequential block order.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,6 +69,7 @@ from repro.simt import footprint
 from repro.simt.errors import ExecutionError
 from repro.simt.ir import (
     Atomic,
+    AtomicOp,
     Barrier,
     If,
     Imm,
@@ -83,7 +87,7 @@ from repro.simt.ir import (
     While,
     op_category,
 )
-from repro.simt.types import WARP_SIZE
+from repro.simt.types import WARP_SIZE, DType
 from repro.telemetry import get_telemetry
 
 #: Lane budget per silent batch: K is chosen so ``K * npad`` stays near this.
@@ -611,7 +615,10 @@ def _compile_atomic(ck, stmt: Atomic, hooks: frozenset):
     val = _make_vec(ck, stmt.value, np_dt)
     cmp = _make_vec(ck, stmt.compare, np_dt) if stmt.compare is not None else None
     esize = stmt.dtype.element_size
-    write = _make_write(ck, stmt.dest) if stmt.dest is not None else None
+    # An old value nobody reads is never materialised: duplicate addresses
+    # then take the grouped ``ufunc.at`` path instead of the lane loop.
+    used = stmt.dest is not None and stmt.dest.name in ck.read_regs
+    write = _make_write(ck, stmt.dest) if used else None
     aop = stmt.op
 
     def core(st, act):
@@ -895,10 +902,8 @@ class CompiledKernel:
         "ctaid_slots",
         "shared_decls",
         "shared_offsets",
-        "has_atomics",
-        "load_params",
-        "store_params",
-        "store_sites",
+        "read_regs",
+        "sites",
         "run_silent",
         "_observed",
         "plan_cache",
@@ -908,17 +913,14 @@ class CompiledKernel:
         self.kernel = kernel
         self.param_index: Dict[str, int] = {p.name: i for i, p in enumerate(kernel.params)}
         self.slot_of: Dict[str, int] = {}
-        self.has_atomics = False
+        self.read_regs: set = set()
         for stmt in kernel.walk():
             for reg in _stmt_regs(stmt):
                 if reg.name not in self.slot_of:
                     self.slot_of[reg.name] = len(self.slot_of)
-            if isinstance(stmt, Atomic):
-                self.has_atomics = True
+            self.read_regs.update(reg.name for reg in _stmt_sources(stmt))
         self.nslots = len(self.slot_of)
-        self.load_params, self.store_params, self.store_sites = _buffer_param_flow(
-            kernel
-        )
+        self.sites = _mem_sites(kernel, self.read_regs)
         self.sreg_slots: Tuple[Tuple[str, int], ...] = tuple(
             (name, slot) for name, slot in self.slot_of.items() if name in _SREG_NAMES
         )
@@ -934,7 +936,7 @@ class CompiledKernel:
         # compiled lazily on first use (a mix-only run never lowers the
         # mem/branch hook variants at all).
         self._observed: Dict[frozenset, Callable] = {}
-        # Batch plans keyed by (grid, block, cap, bound params): the
+        # Batch plans keyed by (grid, block, cap, bound sites and params): the
         # footprint analysis runs once per launch configuration, not per
         # launch (see plan_batches).
         self.plan_cache: Dict = {}
@@ -955,112 +957,175 @@ class CompiledKernel:
         return self.observed_runner(ALL_HOOKS)
 
 
+def _stmt_sources(stmt: Stmt):
+    """The registers a statement reads."""
+    if isinstance(stmt, Instr):
+        operands = stmt.srcs
+    elif isinstance(stmt, Load):
+        operands = (stmt.addr,)
+    elif isinstance(stmt, Store):
+        operands = (stmt.addr, stmt.value)
+    elif isinstance(stmt, Atomic):
+        operands = (stmt.addr, stmt.value, stmt.compare)
+    elif isinstance(stmt, (If, While)):
+        operands = (stmt.cond,)
+    else:
+        operands = ()
+    for s in operands:
+        if isinstance(s, Reg):
+            yield s
+
+
 def _stmt_regs(stmt: Stmt):
     """All registers a statement names (dest first, then sources)."""
-    if isinstance(stmt, Instr):
-        yield stmt.dest
-        for s in stmt.srcs:
-            if isinstance(s, Reg):
-                yield s
-    elif isinstance(stmt, Load):
-        yield stmt.dest
-        if isinstance(stmt.addr, Reg):
-            yield stmt.addr
-    elif isinstance(stmt, Store):
-        for s in (stmt.addr, stmt.value):
-            if isinstance(s, Reg):
-                yield s
-    elif isinstance(stmt, Atomic):
-        if stmt.dest is not None:
-            yield stmt.dest
-        for s in (stmt.addr, stmt.value, stmt.compare):
-            if isinstance(s, Reg):
-                yield s
-    elif isinstance(stmt, If):
-        yield stmt.cond
-    elif isinstance(stmt, While) and stmt.cond is not None:
-        yield stmt.cond
+    dest = getattr(stmt, "dest", None)
+    if dest is not None:
+        yield dest
+    yield from _stmt_sources(stmt)
 
 
-def _buffer_param_flow(kernel: Kernel):
-    """Which buffer params can reach global-load vs store/atomic addresses.
+#: Atomic ops whose final memory is independent of lane order when applied
+#: to integers: addition wraps modularly, min/max are lattice joins.
+_COMMUTING_ATOMICS = frozenset((AtomicOp.ADD, AtomicOp.MIN, AtomicOp.MAX))
+
+
+class MemSite(NamedTuple):
+    """One static global-memory site, as the batch planner sees it.
+
+    On :attr:`CompiledKernel.sites` ``bases`` holds the buffer *param
+    names* the address can derive from; :func:`hazard_sites` binds them to
+    the launch's base addresses.  ``commute_op`` is the op of an integer
+    ADD/MIN/MAX atomic whose result register is never read (a
+    fire-and-forget candidate), else ``None``.
+    """
+
+    sid: int
+    kind: str  #: "load" | "store" | "atomic"
+    bases: frozenset
+    in_loop: bool
+    commute_op: Optional[AtomicOp] = None
+
+
+def _mem_sites(kernel: Kernel, read_regs: set) -> Tuple[MemSite, ...]:
+    """Every global load, non-shared store and atomic site of ``kernel``.
 
     A forward dataflow over register definitions: a register *derives from*
     a buffer param when the param's base pointer appears anywhere in the
     arithmetic producing it (the builder always forms addresses as
     ``ParamRef(buf) + offset``).  Loaded *values* never carry base-ness —
     buffers hold data, and the builder offers no way to use one as a base.
-    Iterated to a fixpoint so loop-carried address registers converge.
-    Returns ``(load_params, store_params, store_sites)``: the first two are
-    frozensets of param names, the third one ``(params, in_loop)`` entry per
-    static store/atomic site.  The launch driver resolves all three through
-    the actual buffer bindings to decide whether batching this launch's
-    blocks could reorder memory operations (see :func:`_batch_hazard`).
+    The structured walk repeats to a fixpoint so loop-carried address
+    registers converge; the final (unchanged) pass records the sites.
     """
     bufs = {p.name for p in kernel.params if p.is_buffer}
-    deriv: Dict[str, set] = {}
+    deriv: Dict[str, frozenset] = {}
+    sites: List[MemSite] = []
 
-    def of(op) -> set:
+    def of(op) -> frozenset:
         if isinstance(op, ParamRef):
-            return {op.name} if op.name in bufs else set()
+            return frozenset((op.name,)) if op.name in bufs else frozenset()
         if isinstance(op, Reg):
-            return deriv.get(op.name, set())
-        return set()
+            return deriv.get(op.name, frozenset())
+        return frozenset()
 
-    loads: set = set()
-    stores: set = set()
-    changed = True
-    while changed:
+    def walk(stmts, in_loop: bool) -> bool:
         changed = False
-        for stmt in kernel.walk():
+        for stmt in stmts:
             if isinstance(stmt, Instr):
-                s: set = set()
-                for src in stmt.srcs:
-                    s |= of(src)
-                cur = deriv.setdefault(stmt.dest.name, set())
-                if not s <= cur:
-                    cur |= s
+                cur = deriv.get(stmt.dest.name, frozenset())
+                new = cur.union(*(of(src) for src in stmt.srcs))
+                if new != cur:
+                    deriv[stmt.dest.name] = new
                     changed = True
             elif isinstance(stmt, Load):
                 if stmt.space is MemSpace.GLOBAL:
-                    new = of(stmt.addr) - loads
-                    if new:
-                        loads |= new
-                        changed = True
+                    sites.append(MemSite(stmt.sid, "load", of(stmt.addr), in_loop))
             elif isinstance(stmt, Store):
                 if stmt.space is not MemSpace.SHARED:
-                    new = of(stmt.addr) - stores
-                    if new:
-                        stores |= new
-                        changed = True
+                    sites.append(MemSite(stmt.sid, "store", of(stmt.addr), in_loop))
             elif isinstance(stmt, Atomic):
-                new = of(stmt.addr) - stores
-                if new:
-                    stores |= new
-                    changed = True
-
-    sites: List[Tuple[frozenset, bool]] = []
-
-    def collect(stmts, in_loop: bool) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, Store):
-                if stmt.space is not MemSpace.SHARED:
-                    sites.append((frozenset(of(stmt.addr)), in_loop))
-            elif isinstance(stmt, Atomic):
-                sites.append((frozenset(of(stmt.addr)), in_loop))
+                commutes = (
+                    stmt.op in _COMMUTING_ATOMICS
+                    and stmt.dtype is DType.I32
+                    and (stmt.dest is None or stmt.dest.name not in read_regs)
+                )
+                sites.append(
+                    MemSite(
+                        stmt.sid,
+                        "atomic",
+                        of(stmt.addr),
+                        in_loop,
+                        stmt.op if commutes else None,
+                    )
+                )
             elif isinstance(stmt, If):
-                collect(stmt.then_body, in_loop)
-                collect(stmt.else_body, in_loop)
+                changed |= walk(stmt.then_body, in_loop)
+                changed |= walk(stmt.else_body, in_loop)
             elif isinstance(stmt, While):
-                collect(stmt.cond_body, True)
-                collect(stmt.body, True)
+                changed |= walk(stmt.cond_body, True)
+                changed |= walk(stmt.body, True)
+        return changed
 
-    collect(kernel.body, False)
-    return frozenset(loads), frozenset(stores), tuple(sites)
+    while True:
+        sites.clear()
+        if not walk(kernel.body, False):
+            return tuple(sites)
 
 
-def _batch_hazard(ck: "CompiledKernel", params_by_name: Dict) -> bool:
-    """Whether batching blocks of this launch could change device memory.
+def hazard_sites(
+    ck: CompiledKernel, params_by_name: Dict, device=None
+) -> Tuple[MemSite, ...]:
+    """The launch's hazard-relevant sites, with bases bound to addresses.
+
+    Two per-site refinements drop sites that provably cannot interact
+    across blocks, whatever their addresses:
+
+    - **fire-and-forget atomics** — a ``commute_op`` atomic whose every
+      base buffer holds integers (checked on ``device``; without one no
+      atomic is dropped) and is reached by no site other than atomics of
+      the same op.  Integer ADD/MIN/MAX commute, and nobody observes an
+      intermediate value, so the final memory is order-independent;
+    - **read-only loads** — a load whose bases are disjoint from every
+      remaining store/atomic site's bases (the whole-launch
+      load-relevance test, applied per site).
+
+    Sites with an empty base set are always kept (the conservative
+    choice: their address could be anything).
+    """
+    bound = [
+        site._replace(bases=frozenset(params_by_name[n] for n in site.bases))
+        for site in ck.sites
+    ]
+    commuting: set = set()
+    # A site with no known base could reach any buffer: then nothing commutes.
+    if (
+        device is not None
+        and any(s.commute_op is not None for s in bound)
+        and all(s.bases for s in bound)
+    ):
+        int_bases = {b.base for b in device.buffers if b.data.dtype.kind == "i"}
+        ops: Dict[int, set] = {}
+        for s in bound:
+            for base in s.bases:
+                ops.setdefault(base, set()).add(s.commute_op)
+        commuting = {
+            base
+            for base, seen in ops.items()
+            if base in int_bases and len(seen) == 1 and None not in seen
+        }
+    kept = [
+        s
+        for s in bound
+        if s.commute_op is None or not s.bases or not s.bases <= commuting
+    ]
+    write_bases = frozenset().union(*(s.bases for s in kept if s.kind != "load"))
+    return tuple(
+        s for s in kept if s.kind != "load" or not s.bases or s.bases & write_bases
+    )
+
+
+def _batch_hazard(sites: Sequence[MemSite]) -> bool:
+    """Whether batching blocks over these (bound) sites could change memory.
 
     Batched blocks execute in lockstep program order, so a *later* block's
     store at an *earlier* program point lands before an earlier block's
@@ -1075,26 +1140,23 @@ def _batch_hazard(ck: "CompiledKernel", params_by_name: Dict) -> bool:
     - a store site sits inside a loop (iteration *k* of a later block must
       not be overwritten by iteration *k+1* of an earlier one).
 
-    Base sets are resolved against the actual bound buffer bases, so two
-    params bound to one buffer alias correctly.  Single straight-line store
-    sites are always safe: the scatter's highest-lane-wins tie-break makes
-    the last block win, same as sequential order.
+    Bases are the actual bound buffer bases (see :func:`hazard_sites`), so
+    two params bound to one buffer alias correctly.  Single straight-line
+    store sites are always safe: the scatter's highest-lane-wins tie-break
+    makes the last block win, same as sequential order.
     """
-    base_sites = []
-    for names, in_loop in ck.store_sites:
-        bases = frozenset(params_by_name[n] for n in names)
-        if bases and in_loop:
-            return True
-        base_sites.append(bases)
-    load_bases = {params_by_name[n] for n in ck.load_params}
-    if load_bases & {b for bases in base_sites for b in bases}:
-        return True
     seen: set = set()
-    for bases in base_sites:
-        if bases & seen:
+    for s in sites:
+        if s.kind == "load":
+            continue
+        if s.bases and s.in_loop:
             return True
-        seen |= bases
-    return False
+        if s.bases & seen:
+            return True
+        seen |= s.bases
+    return any(
+        s.kind == "load" and seen and (not s.bases or s.bases & seen) for s in sites
+    )
 
 
 class BatchPlan:
@@ -1124,23 +1186,28 @@ def plan_batches(
     block: Tuple[int, int],
     params_by_name: Dict,
     batch_blocks: Optional[int] = None,
+    device=None,
 ) -> BatchPlan:
     """Decide how wide this launch may batch, refining the hazard pin.
 
-    Hazard-free launches batch to the lane-budget cap outright.  For
-    hazard-flagged launches the footprint analysis runs in two layers:
-    the symbolic pass first tries to prove every cross-block store-store
-    and store-load pair disjoint structurally (tier ``symbolic_clear``);
-    failing that, each block's concrete per-site byte extents are grouped
-    greedily into contiguous runs with non-overlapping write footprints
-    (tier ``footprint_grouped``).  Only launches with atomics, a
+    The planner reasons over :func:`hazard_sites` — the kernel's site
+    table with fire-and-forget atomics and read-only loads dropped.  Any
+    remaining atomic pins the launch.  Hazard-free launches batch to the
+    lane-budget cap outright.  For hazard-flagged launches the footprint
+    analysis of the remaining sites runs in two layers: the symbolic pass
+    first tries to prove every cross-block store-store and store-load pair
+    disjoint structurally (tier ``symbolic_clear``); failing that, each
+    block's concrete per-site byte extents are grouped greedily into
+    contiguous runs with non-overlapping write footprints (tier
+    ``footprint_grouped``).  Only launches with order-sensitive atomics, a
     non-affine address, or genuinely colliding footprints stay pinned at
-    one block per batch.  Loads are dropped from the analysis when the
-    launch's resolved load bases cannot alias its store bases.
+    one block per batch.
 
-    Plans are cached on ``ck.plan_cache`` per (grid, block, cap, bound
-    params) — an explicit ``batch_blocks`` override adjusts the cap but
-    never widens what the analysis allows.
+    ``device`` lets the planner check that fire-and-forget atomics target
+    integer buffers; without it every atomic pins.  Plans are cached on
+    ``ck.plan_cache`` per (grid, block, cap, bound sites) — an explicit
+    ``batch_blocks`` override adjusts the cap but never widens what the
+    analysis allows.
     """
     nthreads = block[0] * block[1]
     npad = -(-nthreads // WARP_SIZE) * WARP_SIZE
@@ -1148,12 +1215,13 @@ def plan_batches(
         cap = max(1, int(batch_blocks))
     else:
         cap = max(1, min(MAX_BATCH_BLOCKS, TARGET_BATCH_LANES // npad))
-    if ck.has_atomics:
+    sites = hazard_sites(ck, params_by_name, device)
+    if any(s.kind == "atomic" for s in sites):
         return BatchPlan("pinned", 1, pin_reason="atomics")
-    if not _batch_hazard(ck, params_by_name):
+    if not _batch_hazard(sites):
         return BatchPlan("clear", cap)
     try:
-        key = (grid, block, cap, tuple(sorted(params_by_name.items())))
+        key = (grid, block, cap, sites, tuple(sorted(params_by_name.items())))
     except TypeError:
         key = None
     if key is not None:
@@ -1161,23 +1229,15 @@ def plan_batches(
         if cached is not None:
             return cached
     nblocks = grid[0] * grid[1]
-    store_bases = {
-        params_by_name[n] for names, _ in ck.store_sites for n in names
-    }
-    load_bases = {params_by_name[n] for n in ck.load_params}
     fp = footprint.analyze(
-        ck.kernel,
-        grid,
-        block,
-        params_by_name,
-        include_loads=bool(load_bases & store_bases),
+        ck.kernel, grid, block, params_by_name, sids=frozenset(s.sid for s in sites)
     )
     if not fp.complete:
         plan = BatchPlan("pinned", 1, pin_reason="opaque-address")
     elif footprint.symbolically_disjoint(fp, grid):
         plan = BatchPlan("symbolic_clear", cap)
     else:
-        extents = footprint._block_extents(fp, grid, nblocks)
+        extents = footprint.block_extents(fp, grid, nblocks)
         if extents is None:
             plan = BatchPlan("pinned", 1, pin_reason="opaque-address")
         else:
@@ -1332,7 +1392,9 @@ def run_compiled_launch(
     # The plan beats an explicit batch_blocks override: the override is a
     # sizing knob, not a correctness waiver — a pinned launch stays pinned
     # and a grouped launch never batches across a group boundary.
-    plan = plan_batches(ck, grid, block, params_by_name, executor.batch_blocks)
+    plan = plan_batches(
+        ck, grid, block, params_by_name, executor.batch_blocks, executor.device
+    )
     limit = plan.limit
     group_of = plan.group_of
 

@@ -296,9 +296,19 @@ class Executor:
             tele.count("engine.launches")
             tele.count(f"engine.{self.engine}.blocks", nblocks)
             if self.engine == "compiled":
-                tier = stats.get("hazard_tier")
-                if tier:
-                    tele.count(f"engine.compiled.hazard.{tier}")
+                # The planner's decision rides on the launch span, so a
+                # trace says why a slow launch ran narrow.
+                tier = stats["hazard_tier"]
+                reason = stats["pin_reason"]
+                lsp.set(
+                    hazard_tier=tier,
+                    pin_reason=reason,
+                    batches=stats["batches"],
+                    largest_batch=stats["largest_batch"],
+                )
+                tele.count(f"engine.compiled.hazard.{tier}")
+                if reason:
+                    tele.count(f"engine.compiled.pin.{reason}")
                 tele.count("engine.compiled.batches", int(stats.get("batches", 0)))
                 tele.count(
                     "engine.compiled.batched_blocks", int(stats.get("batched_blocks", 0))

@@ -10,14 +10,18 @@ SDK transpose (disjoint per-block output tiles, written in a loop) to one
 block per batch even though no two blocks ever touch a common byte.
 
 This module refines the boolean pin into a three-way answer, built from a
-single symbolic pass over the lowered IR:
+single symbolic pass over the lowered IR.  It sees only the sites the
+planner's per-site table keeps (:func:`repro.simt.compiled.hazard_sites`
+drops read-only loads and fire-and-forget commuting atomics), so an opaque
+address in a dropped site never blocks the proof:
 
 * **Affine address recovery** — every register is tracked as an affine form
   ``const + Σ coeff·sym`` over *bounded symbols*: ``%tid.x``/``%tid.y``
   (domain ``[0, ntid)``), ``%ctaid.x``/``%ctaid.y`` (domain ``[0, nctaid)``,
   flagged as *block* symbols), one fresh symbol per recognised counted loop
-  (domain ``[0, trips)``), and anonymous bounded symbols for values forced
-  into a range by ``imod``.  Parameters are bound to their concrete values
+  (domain ``[0, trips)``; the step may be any non-zero launch constant, so
+  block-stride loops ``j += %ntid.x`` count), and anonymous bounded symbols
+  for values forced into a range by ``imod``.  Parameters are bound to their concrete values
   (buffer bases are plain ints at launch time), so an address form is an
   absolute byte expression.  Anything non-affine is ``None`` (unknown); the
   analysis never guesses.  All forms are range-limited to ``±2**62`` so the
@@ -190,12 +194,12 @@ class _Pass:
         grid: Tuple[int, int],
         block: Tuple[int, int],
         params_by_name: Dict,
-        include_loads: bool,
+        sids: Optional[frozenset],
     ) -> None:
         self.grid = grid
         self.block = block
         self.params = params_by_name
-        self.include_loads = include_loads
+        self.sids = sids
         self.syms: List[FootSym] = []
         self._sreg_aff: Dict[str, Optional[Aff]] = {}
         self.env: Dict[str, Optional[Aff]] = {}
@@ -331,6 +335,8 @@ class _Pass:
             self._stmt(stmt)
 
     def _site(self, kind: str, addr: Operand, esize: int, sid: int) -> None:
+        if self.sids is not None and sid not in self.sids:
+            return
         aff = _checked(self._value(addr), self.syms)
         self.sites.append(FootSite(kind, aff, esize, self._depth > 0, sid))
 
@@ -338,7 +344,7 @@ class _Pass:
         if isinstance(stmt, Instr):
             self.env[stmt.dest.name] = _checked(self._eval_instr(stmt), self.syms)
         elif isinstance(stmt, Load):
-            if stmt.space is MemSpace.GLOBAL and self.include_loads:
+            if stmt.space is MemSpace.GLOBAL:
                 self._site("load", stmt.addr, stmt.dtype.element_size, stmt.sid)
             self.env[stmt.dest.name] = None
         elif isinstance(stmt, Store):
@@ -369,8 +375,13 @@ class _Pass:
         assigned = _assigned_regs(stmt.cond_body) | _assigned_regs(stmt.body)
         induction = None
         counted = _match_counted(stmt, assigned)
+        step = None
         if counted is not None:
-            ivar, step, stop_op, cmp_op = counted
+            ivar, step_op, stop_op, cmp_op = counted
+            # The step may be any launch constant: an immediate, an int
+            # param, or ``%ntid.*``/``%nctaid.*`` (the block-stride loop).
+            step = _const_of(self._value(step_op))
+        if step and (cmp_op is Op.ILT) == (step > 0):
             start = self.env.get(ivar)
             stop = self._value(stop_op)
             diff = _add(stop, start, sign=-1)
@@ -404,8 +415,9 @@ def _match_counted(stmt: While, assigned: set):
 
     Matches ``while (ivar < stop)``/``(ivar > stop)`` whose body ends with
     the canonical ``t = ivar + step; ivar = t`` increment, with ``ivar``
-    assigned nowhere else and ``stop`` stable across iterations.  Returns
-    ``(ivar_name, step, stop_operand, cmp_op)``.
+    assigned nowhere else and ``step``/``stop`` stable across iterations.
+    Returns ``(ivar_name, step_operand, stop_operand, cmp_op)``; the caller
+    resolves the step to a launch constant and checks its sign.
     """
     cb = stmt.cond_body
     if len(cb) != 1 or not isinstance(cb[0], Instr):
@@ -438,14 +450,13 @@ def _match_counted(stmt: While, assigned: set):
     ):
         return None
     a, b = inc.srcs
-    step = None
-    if isinstance(a, Reg) and a.name == ivar_op.name and isinstance(b, Imm):
-        step = b.value
-    elif isinstance(b, Reg) and b.name == ivar_op.name and isinstance(a, Imm):
-        step = a.value
-    if not isinstance(step, int) or isinstance(step, bool) or step == 0:
+    if isinstance(a, Reg) and a.name == ivar_op.name:
+        step_op = b
+    elif isinstance(b, Reg) and b.name == ivar_op.name:
+        step_op = a
+    else:
         return None
-    if (cmp.op is Op.ILT) != (step > 0):
+    if isinstance(step_op, Reg) and step_op.name in assigned:
         return None
     for inner in walk_stmts(list(stmt.cond_body) + list(body[:-1])):
         if isinstance(inner, (Instr, Load)) and inner.dest.name == ivar_op.name:
@@ -458,7 +469,7 @@ def _match_counted(stmt: While, assigned: set):
             return None
     if isinstance(stop_op, Reg) and stop_op.name in assigned:
         return None
-    return ivar_op.name, step, stop_op, cmp.op
+    return ivar_op.name, step_op, stop_op, cmp.op
 
 
 def analyze(
@@ -466,16 +477,19 @@ def analyze(
     grid: Tuple[int, int],
     block: Tuple[int, int],
     params_by_name: Dict,
-    include_loads: bool = True,
+    sids: Optional[frozenset] = None,
 ) -> Footprints:
-    """Collect affine byte-address forms for every relevant memory site.
+    """Collect affine byte-address forms for the kernel's memory sites.
 
-    ``include_loads=False`` drops global loads from the site list — correct
-    exactly when the launch's resolved load bases are disjoint from its
-    store bases (the caller checks via the base-pointer dataflow), so no
-    load can observe a same-launch store regardless of addressing.
+    ``sids`` restricts the site list to those static ids (``None`` keeps
+    every global load, non-shared store and atomic).  The planner passes
+    the sites left after its per-site relevance filter
+    (:func:`repro.simt.compiled.hazard_sites`): a dropped load reads only
+    buffers the launch never writes, and a dropped atomic commutes, so
+    neither can observe or be observed by a same-launch write whatever
+    its address.
     """
-    return _Pass(grid, block, params_by_name, include_loads).run(kernel)
+    return _Pass(grid, block, params_by_name, sids).run(kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -635,12 +649,6 @@ def block_extents(fp: Footprints, grid: Tuple[int, int], nblocks: int):
                 hi += max(extent, 0)
         out.append((site.kind, site.in_loop, blk + lo, blk + hi + site.esize - 1))
     return out
-
-
-#: Patch point for the ``simt.footprint_grouping`` planted-violation
-#: self-test: :func:`repro.simt.compiled.plan_batches` resolves this name at
-#: call time, so replacing it swaps the extents the planner reasons from.
-_block_extents = block_extents
 
 
 def group_blocks(extents, nblocks: int, cap: int):

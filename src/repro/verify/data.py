@@ -28,7 +28,7 @@ import numpy as np
 from repro.fuzz.generator import Case, build_kernel, generate_case, make_device
 from repro.simt import Executor, SimtError
 from repro.simt.builder import KernelBuilder
-from repro.simt.compiled import _batch_hazard, compile_kernel
+from repro.simt.compiled import _batch_hazard, compile_kernel, hazard_sites
 from repro.simt.ir import Kernel, MemSpace
 from repro.simt.memory import Device, DeviceBuffer
 from repro.simt.types import DType
@@ -64,7 +64,7 @@ def _case_has_kind(case: Case, kinds: Sequence[str]) -> bool:
                 return True
             if s["k"] == "if" and (walk(s["then"]) or walk(s["else"])):
                 return True
-            if s["k"] == "while" and walk(s["body"]):
+            if s["k"] in ("while", "sloop") and walk(s["body"]):
                 return True
         return False
 
@@ -81,13 +81,12 @@ def case_is_order_free(case: Case) -> bool:
     """
     if _case_has_kind(case, ("atomic", "gstore_overlap")):
         return False
-    kernel = build_kernel(case)
-    ck = compile_kernel(kernel)
-    if ck.has_atomics:
+    ck = compile_kernel(build_kernel(case))
+    if any(site.kind == "atomic" for site in ck.sites):
         return False
-    dev, bufs = make_device(case)
+    _dev, bufs = make_device(case)
     params_by_name = {name: buf.base for name, buf in bufs.items()}
-    return not _batch_hazard(ck, params_by_name)
+    return not _batch_hazard(hazard_sites(ck, params_by_name))
 
 
 def order_free_cases(

@@ -258,7 +258,7 @@ class BatchParity(Property):
         start = time.perf_counter()
         original = compiled._batch_hazard
         try:
-            compiled._batch_hazard = lambda ck, params: False
+            compiled._batch_hazard = lambda sites: False
             for attempt in range(_PLANT_ATTEMPTS):
                 case = generate_case(7000 + attempt)
                 if not _case_has_kind(case, ("gstore_overlap",)):
@@ -300,9 +300,9 @@ def _case_plan(case: Case):
     from repro.simt.compiled import compile_kernel, plan_batches
 
     ck = compile_kernel(build_kernel(case))
-    _dev, bufs = make_device(case)
+    dev, bufs = make_device(case)
     params = {name: buf.base for name, buf in bufs.items()}
-    return plan_batches(ck, (case["grid"], 1), tuple(case["block"]), params)
+    return plan_batches(ck, (case["grid"], 1), tuple(case["block"]), params, device=dev)
 
 
 def _grouping_diffs(case: Case) -> List[str]:
@@ -363,7 +363,7 @@ class FootprintGrouping(Property):
     def plant(self, ctx: VerifyContext) -> PlantResult:
         """Falsify the extent analysis and prove the parity check notices.
 
-        The planted ``_block_extents`` collapses every site's per-block
+        The planted ``block_extents`` collapses every site's per-block
         footprint to the single byte ``[block, block]``, so genuinely
         overlapping blocks look pairwise disjoint and get batched together
         — exactly the failure an unsound footprint analysis would cause.
@@ -374,7 +374,7 @@ class FootprintGrouping(Property):
         from repro.simt import footprint
 
         start = time.perf_counter()
-        original = footprint._block_extents
+        original = footprint.block_extents
 
         def collapsed(fp, grid, nblocks):
             real = original(fp, grid, nblocks)
@@ -384,7 +384,7 @@ class FootprintGrouping(Property):
             return [(kind, in_loop, fake, fake) for kind, in_loop, _lo, _hi in real]
 
         try:
-            footprint._block_extents = collapsed
+            footprint.block_extents = collapsed
             for attempt in range(_PLANT_ATTEMPTS):
                 case = generate_case(ALIAS_SEED_BASE + 770_000 + attempt)
                 if _case_plan(case).tier != "footprint_grouped":
@@ -397,7 +397,7 @@ class FootprintGrouping(Property):
                 failure = _grouping_diffs(shrunk)[0]
                 # With the real extent analysis restored the shrunk case
                 # must be clean — the plant, not the engine, broke parity.
-                footprint._block_extents = original
+                footprint.block_extents = original
                 clean = not _grouping_diffs(shrunk)
                 return PlantResult(
                     name=self.name,
@@ -418,4 +418,4 @@ class FootprintGrouping(Property):
                 detail=f"no parity break found in {_PLANT_ATTEMPTS} seeds",
             )
         finally:
-            footprint._block_extents = original
+            footprint.block_extents = original

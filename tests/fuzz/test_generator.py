@@ -6,6 +6,8 @@ from repro.fuzz.generator import (
     ALIAS_SEED_BASE,
     ALIAS_STMT_KINDS,
     STMT_KINDS,
+    STRIDE_SEED_BASE,
+    STRIDE_STMT_KINDS,
     make_device,
 )
 from repro.simt import classify_kernel, disassemble
@@ -79,6 +81,33 @@ def test_generator_covers_the_ir_surface():
 
         collect(walk_target)
     assert old <= {k for k, _ in STMT_KINDS} - {"cast"} | {"i2f", "f2i"}
+
+
+def _kinds(stmts, out):
+    for s in stmts:
+        out.add(s["k"])
+        for key in ("then", "else", "body"):
+            _kinds(s.get(key, ()), out)
+    return out
+
+
+def test_stride_band_is_seed_gated():
+    # At or above the base the block-stride kinds appear (and kernels bind
+    # the tile buffer); just below it the aliasing grammar is unchanged.
+    band = set()
+    for i in range(80):
+        case = generate_case(STRIDE_SEED_BASE + i)
+        band |= _kinds(case["stmts"], set())
+        assert "tile" in make_device(case)[1]
+        assert "tile" in {p.name for p in build_kernel(case).params}
+    assert {"sloop", "roload"} <= band
+    assert band <= {k for k, _ in STRIDE_STMT_KINDS} - {"cast"} | {"i2f", "f2i"}
+    below = set()
+    for i in range(1, 81):
+        case = generate_case(STRIDE_SEED_BASE - i)
+        below |= _kinds(case["stmts"], set())
+        assert "tile" not in make_device(case)[1]
+    assert below <= {k for k, _ in ALIAS_STMT_KINDS} - {"cast"} | {"i2f", "f2i"}
 
 
 def test_case_stmt_count_counts_nested_bodies():

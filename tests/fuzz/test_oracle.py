@@ -20,6 +20,16 @@ def test_small_campaign_window_is_clean():
             assert "reference" in report.engines_run
 
 
+def test_stride_band_window_is_clean():
+    # The block-stride band: tile loops, read-only indirect loads and
+    # commuting atomics, batched wherever the planner can prove it.
+    from repro.fuzz.generator import STRIDE_SEED_BASE
+
+    for i in range(12):
+        report = run_case(generate_case(STRIDE_SEED_BASE + i))
+        assert report.ok, (i, report.failures)
+
+
 def test_batch_plan_covers_the_edges():
     assert batch_plan(6) == [None, 1, 3, 7]
     # Dedup when the grid collapses values together.

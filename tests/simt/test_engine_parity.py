@@ -17,6 +17,7 @@ from repro.trace.profile import WorkloadProfile
 from repro.trace.serialize import workload_to_dict
 from repro.workloads import registry
 from repro.workloads.base import RunContext
+from tests.simt.planner_kernels import atomic_kernel, block_stride_kernel, gather_kernel
 
 #: Small sample cap: observed blocks stay cheap while leaving plenty of
 #: silent blocks for the compiled engine to batch.
@@ -349,18 +350,113 @@ def test_load_store_overlap_planning_tiers():
 
 
 def test_atomic_kernels_pin_batches_to_one_block():
-    # Cross-block atomics would race inside a batch, so kernels containing
-    # atomics must execute one block at a time even when unprofiled.
+    # A used-result atomic would race inside a batch (each lane's old value
+    # depends on which block got there first), so the kernel executes one
+    # block at a time even when unprofiled.
     b = KernelBuilder("k")
     c = b.param_buf("c", DType.I32)
-    b.atomic_add(c, 0, 1)
+    o = b.param_buf("o", DType.I32)
+    b.st(o, b.global_thread_id(), b.atomic_add(c, 0, 1))
     k = b.finalize()
 
     dev = Device()
     cbuf = dev.alloc("c", 1, DType.I32)
+    obuf = dev.alloc("o", 8 * 32, DType.I32)
     ex = Executor(dev, engine="compiled")
-    ex.launch(k, 8, 32, {"c": cbuf})
+    ex.launch(k, 8, 32, {"c": cbuf, "o": obuf})
     stats = ex.last_launch_stats
     assert stats["batch_limit"] == 1
     assert stats["largest_batch"] <= 1
+    assert sorted(dev.download(obuf)) == list(range(8 * 32))
+    # The fire-and-forget form commutes, so it batches — same count.
+    b = KernelBuilder("k")
+    c = b.param_buf("c", DType.I32)
+    b.atomic_add(c, 0, 1)
+    dev = Device()
+    cbuf = dev.alloc("c", 1, DType.I32)
+    ex = Executor(dev, engine="compiled")
+    ex.launch(b.finalize(), 8, 32, {"c": cbuf})
+    assert ex.last_launch_stats["largest_batch"] == 8
     assert dev.download(cbuf)[0] == 8 * 32
+
+
+#: Planner-refinement shapes: (kernel, buffer dtypes, expected auto plan).
+#: Positive shapes un-pin; each negative keeps the pin it always had.
+REFINEMENT_CASES = {
+    "block-stride": (block_stride_kernel, {"o": DType.I32}, ("symbolic_clear", None)),
+    "block-stride-step-reassigned": (
+        lambda: block_stride_kernel(reassign_step=True),
+        {"o": DType.I32},
+        ("pinned", "opaque-address"),
+    ),
+    "opaque-load-read-only": (
+        lambda: gather_kernel(table_is_written=False),
+        {"o": DType.I32, "t": DType.I32},
+        ("symbolic_clear", None),
+    ),
+    "opaque-load-written": (
+        lambda: gather_kernel(table_is_written=True),
+        {"o": DType.I32, "t": DType.I32},
+        ("pinned", "opaque-address"),
+    ),
+    "atomic-unused-result": (
+        lambda: atomic_kernel(("add", False)),
+        {"c": DType.I32, "o": DType.I32},
+        ("clear", None),
+    ),
+    "atomic-used-result": (
+        lambda: atomic_kernel(("add", True)),
+        {"c": DType.I32, "o": DType.I32},
+        ("pinned", "atomics"),
+    ),
+    "atomic-float-add": (
+        lambda: atomic_kernel(("add", False), dtype=DType.F32),
+        {"c": DType.F32, "o": DType.I32},
+        ("pinned", "atomics"),
+    ),
+    "atomic-add-and-max": (
+        lambda: atomic_kernel(("add", False), ("max", False)),
+        {"c": DType.I32, "o": DType.I32},
+        ("pinned", "atomics"),
+    ),
+    "atomic-buffer-loaded": (
+        lambda: atomic_kernel(("add", False), load_back=True),
+        {"c": DType.I32, "o": DType.I32},
+        ("pinned", "atomics"),
+    ),
+}
+
+
+def _run_refinement(build, dtypes, engine, batch_blocks=None):
+    kernel = build()
+    dev = Device()
+    rng = np.random.default_rng(5)
+    bufs = {}
+    for name, dt in dtypes.items():
+        bufs[name] = dev.alloc(name, 1024, dt)
+        init = rng.integers(0, 64, 1024) if dt is DType.I32 else rng.standard_normal(1024)
+        dev.upload(bufs[name], init)
+    collector = KernelTraceCollector()
+    ex = Executor(
+        dev,
+        sinks=[collector],
+        profile_filter=stride_sampler(2),
+        engine=engine,
+        batch_blocks=batch_blocks,
+    )
+    ex.launch(kernel, 8, 32, bufs)
+    profile = WorkloadProfile(workload="k", suite="t", kernels=collector.profiles)
+    memory = {name: dev.download(buf).tobytes() for name, buf in bufs.items()}
+    return memory, workload_to_dict(profile), ex.last_launch_stats
+
+
+@pytest.mark.parametrize("case", sorted(REFINEMENT_CASES))
+def test_planner_refinement_tiers_and_parity(case):
+    build, dtypes, expected = REFINEMENT_CASES[case]
+    memory, profile, _ = _run_refinement(build, dtypes, "interpreted")
+    for bb in (1, 2, None):
+        cmem, cprof, stats = _run_refinement(build, dtypes, "compiled", bb)
+        assert cmem == memory, f"memory diverged at batch_blocks={bb}"
+        assert cprof == profile, f"profile diverged at batch_blocks={bb}"
+    assert (stats["hazard_tier"], stats["pin_reason"]) == expected
+    assert (stats["largest_batch"] > 1) == (expected[0] != "pinned")

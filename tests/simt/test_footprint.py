@@ -10,7 +10,7 @@ batch schedules is covered by ``test_engine_parity`` and the fuzz oracle.
 import numpy as np
 
 from repro.simt import Device, DType, Executor, KernelBuilder
-from repro.simt.compiled import compile_kernel, plan_batches
+from repro.simt.compiled import compile_kernel, hazard_sites, plan_batches
 from repro.simt.executor import stride_sampler
 from repro.simt.footprint import (
     _lattice_hits_interval,
@@ -23,6 +23,7 @@ from repro.simt.footprint import (
 from repro.trace.collector import KernelTraceCollector
 from repro.workloads import registry
 from repro.workloads.base import RunContext
+from tests.simt.planner_kernels import atomic_kernel, block_stride_kernel, gather_kernel
 
 GRID = (8, 1)
 BLOCK = (32, 1)
@@ -149,13 +150,135 @@ def test_indirect_address_is_opaque():
 
 
 def test_atomics_pin_before_any_analysis():
+    # A used-result atomic is order-visible: its old value depends on which
+    # block got there first, so it pins even though the rest is clear.
     b = KernelBuilder("k")
     o = b.param_buf("o", DType.I32)
-    b.atomic_add(o, 0, 1)
-    plan = _plan(b.finalize())
+    p = b.param_buf("p", DType.I32)
+    b.st(p, b.global_thread_id(), b.atomic_add(o, 0, 1))
+    plan = _device_plan(b.finalize(), {"o": DType.I32, "p": DType.I32})
     assert plan.tier == "pinned"
     assert plan.pin_reason == "atomics"
     assert plan.limit == 1
+
+
+# ---------------------------------------------------------------------------
+# Planner refinements: block-stride loops, per-site loads, commuting atomics
+
+
+def _device_plan(kernel, dtypes, grid=GRID, block=BLOCK):
+    """Plan ``kernel`` against a real device holding one buffer per param."""
+    dev = Device()
+    params = {name: dev.alloc(name, 1024, dt).base for name, dt in dtypes.items()}
+    return plan_batches(compile_kernel(kernel), grid, block, params, device=dev)
+
+
+def test_block_stride_loop_is_counted():
+    kernel = block_stride_kernel()
+    fp = analyze(kernel, GRID, BLOCK, PARAMS)
+    assert fp.complete
+    store = next(s for s in fp.sites if s.kind == "store")
+    loops = [fp.syms[i] for i, _c in store.aff.terms if fp.syms[i].name == "loop"]
+    # Trips cover [tid, 64) in steps of ntid = 32: two iterations.
+    assert [sym.count for sym in loops] == [2]
+    assert symbolically_disjoint(fp, GRID)
+    assert _plan(kernel).tier == "symbolic_clear"
+
+
+def test_block_stride_loop_with_reassigned_step_stays_opaque():
+    kernel = block_stride_kernel(reassign_step=True)
+    assert not analyze(kernel, GRID, BLOCK, PARAMS).complete
+    plan = _plan(kernel)
+    assert (plan.tier, plan.pin_reason) == ("pinned", "opaque-address")
+
+
+def test_param_step_resolves_and_sign_is_checked():
+    # A step bound through an int param counts; a negative one under ``<``
+    # does not (the loop would not advance toward its bound).
+    def kernel():
+        b = KernelBuilder("k")
+        o = b.param_buf("o", DType.I32)
+        s = b.param_i32("s")
+        idx = b.let_i32(b.tid_x)
+        loop = b.while_loop()
+        with loop.cond():
+            loop.set_cond(b.ilt(idx, 64))
+        with loop.body():
+            a = b.iadd(b.imul(b.ctaid_x, 64), idx)
+            b.st(o, a, b.iadd(b.ld(o, a), 1))
+            b.assign(idx, b.iadd(idx, s))
+        return b.finalize()
+
+    assert analyze(kernel(), GRID, BLOCK, {**PARAMS, "s": 32}).complete
+    assert not analyze(kernel(), GRID, BLOCK, {**PARAMS, "s": -32}).complete
+    assert not analyze(kernel(), GRID, BLOCK, {**PARAMS, "s": 0}).complete
+
+
+GATHER_PARAMS = {"o": 1 << 16, "t": 1 << 20}
+
+
+def test_opaque_load_from_read_only_buffer_is_dropped():
+    kernel = gather_kernel(table_is_written=False)
+    ck = compile_kernel(kernel)
+    assert not analyze(kernel, GRID, BLOCK, GATHER_PARAMS).complete
+    sites = hazard_sites(ck, GATHER_PARAMS)
+    # Only the o[gid] load/store pair survives the per-site filter.
+    assert {s.bases for s in sites} == {frozenset((GATHER_PARAMS["o"],))}
+    assert _plan(kernel, params=GATHER_PARAMS).tier == "symbolic_clear"
+
+
+def test_opaque_load_from_written_buffer_pins():
+    kernel = gather_kernel(table_is_written=True)
+    plan = _plan(kernel, params=GATHER_PARAMS)
+    assert (plan.tier, plan.pin_reason) == ("pinned", "opaque-address")
+
+
+def test_fire_and_forget_atomics_clear():
+    # Unused results (``want_old`` left on), integer ADD — and two sites of
+    # one op on one buffer — commute, so nothing is left to pin.
+    for atomics in ((("add", False),), (("max", False), ("max", False))):
+        plan = _device_plan(atomic_kernel(*atomics), {"c": DType.I32, "o": DType.I32})
+        assert plan.tier == "clear", atomics
+
+
+def test_order_visible_atomics_pin():
+    cases = {
+        "used result": (atomic_kernel(("add", True)), DType.I32),
+        "float add": (atomic_kernel(("add", False), dtype=DType.F32), DType.F32),
+        "add+max": (atomic_kernel(("add", False), ("max", False)), DType.I32),
+        "loaded back": (atomic_kernel(("add", False), load_back=True), DType.I32),
+        "exch": (atomic_kernel(("exch", False)), DType.I32),
+        # An i32 atomic on a float device buffer rounds: order-visible.
+        "float buffer": (atomic_kernel(("add", False)), DType.F32),
+    }
+    for label, (kernel, cdt) in cases.items():
+        plan = _device_plan(kernel, {"c": cdt, "o": DType.I32})
+        assert (plan.tier, plan.pin_reason) == ("pinned", "atomics"), label
+    # Without a device the buffer dtypes are unknown: every atomic pins.
+    plan = _plan(atomic_kernel(("add", False)), params={"c": 1 << 16, "o": 1 << 20})
+    assert (plan.tier, plan.pin_reason) == ("pinned", "atomics")
+
+
+def test_stride_band_corpus_entries_batch():
+    # The committed block-stride-band cases each un-pin through exactly one
+    # refinement; the corpus replay checks they stay bit-identical.
+    import os
+
+    from repro.fuzz import build_kernel, default_corpus_dir, load_case
+    from repro.fuzz.generator import make_device
+
+    expected = {
+        "sloop-symbolic-seed16777509.json": "symbolic_clear",
+        "roload-symbolic-seed16777609.json": "symbolic_clear",
+        "atomic-batched-seed16777728.json": "clear",
+    }
+    for name, tier in expected.items():
+        case, _meta = load_case(os.path.join(default_corpus_dir(), name))
+        dev, bufs = make_device(case)
+        params = {n: buf.base for n, buf in bufs.items()}
+        grid, block = (case["grid"], 1), tuple(case["block"])
+        plan = plan_batches(compile_kernel(build_kernel(case)), grid, block, params, device=dev)
+        assert (plan.tier, plan.pin_reason) == (tier, None), name
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,34 @@ def test_pass_event_counts_agree_across_engines(global_tele):
     assert counts["compiled"]["branch"] > 0 and counts["compiled"]["texture"] == 0
 
 
+def test_launch_spans_carry_batch_plan(global_tele):
+    # BFS stores to data-dependent addresses and pins; HYS's sort batches
+    # once its block-stride staging loops are recognised.  Both decisions
+    # are visible per launch span and as pin-reason counters.
+    from repro.workloads.runner import run_workload
+
+    for abbrev in ("BFS", "HYS"):
+        run_workload(abbrev, verify=False, sample_blocks=8)
+    launches = global_tele.spans_by_name("launch")
+    bfs = [sp.attrs for sp in launches if sp.attrs["kernel"] == "bfs_level"]
+    assert bfs and all(
+        a["hazard_tier"] == "pinned"
+        and a["pin_reason"] == "opaque-address"
+        and a["largest_batch"] == 1
+        and a["batches"] == a["blocks"]
+        for a in bfs
+    )
+    (sort,) = [sp.attrs for sp in launches if sp.attrs["kernel"] == "oddeven_sort"]
+    assert sort["hazard_tier"] == "symbolic_clear" and sort["pin_reason"] is None
+    assert sort["largest_batch"] > 1 and sort["batches"] < sort["blocks"]
+    counters = global_tele.counters
+    pinned = sum(v for k, v in counters.items() if k.startswith("engine.compiled.pin."))
+    assert pinned == counters["engine.compiled.hazard.pinned"]
+    assert counters["engine.compiled.pin.opaque-address"] >= len(bfs)
+    # HYS's bucket scatter reads its atomic's result: the one atomic pin.
+    assert counters["engine.compiled.pin.atomics"] == 1
+
+
 def test_parallel_run_merges_worker_spans_with_correct_parents(global_tele):
     _characterize(jobs=2, abbrevs=["VA", "BS"])
     t = global_tele

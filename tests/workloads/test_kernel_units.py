@@ -384,3 +384,17 @@ def test_scale_variant_verifies(abbrev):
     cls = registry.get(abbrev)
     profile = run_workload(cls(**SCALE_VARIANTS[abbrev]), sample_blocks=16)
     assert profile.total_warp_instrs > 0
+
+
+def test_nbody_reference_row_chunks_are_bit_identical():
+    # Chunking the reference over body rows bounds its temporaries; each
+    # row's sums run in the same order, so the result is unchanged bitwise.
+    from repro.workloads.sdk.nbody import SOFTENING, nbody_ref
+
+    rng = np.random.default_rng(3)
+    pos = rng.standard_normal((512, 3))
+    mass = rng.uniform(0.5, 2.0, 512)
+    d = pos[None, :, :] - pos[:, None, :]
+    dist2 = (d**2).sum(axis=2) + SOFTENING
+    s = mass[None, :] * (1.0 / (dist2 * np.sqrt(dist2)))
+    assert np.array_equal(nbody_ref(pos, mass), (s[:, :, None] * d).sum(axis=1))

@@ -3,14 +3,14 @@
 Each fuzz case runs on:
 
 1. the **interpreted** lockstep engine (with a trace collector) — the
-   behavioural baseline;
+   behavioural baseline, recording each profiled block as a one-block
+   event batch;
 2. the **compiled** engine at several ``batch_blocks`` values (auto, 1, an
-   odd value, and more than the grid) under the default columnar event
-   mode, plus once under the scalar **callback** event mode — all must
-   match the baseline bit-for-bit in every device buffer *and* in
-   canonical serialized profiles (so every case asserts scalar-vs-columnar
-   per-pass section parity), and must agree on whether (and with what
-   error type) the launch faults;
+   odd value, and more than the grid) — all must match the baseline
+   bit-for-bit in every device buffer *and* in canonical serialized
+   profiles (so every case asserts per-pass section parity between
+   one-block and multi-block batches), and must agree on whether (and
+   with what error type) the launch faults;
 3. for kernels the static classifier proves **lane-disjoint**, the
    lane-serial **reference** interpreter — must match device memory.
 
@@ -84,14 +84,11 @@ def _run_engine(
     case: Case,
     engine: str,
     batch_blocks: Optional[int] = None,
-    event_mode: str = "columnar",
 ) -> EngineOutcome:
     """Run one engine over a fresh kernel + fresh deterministic device."""
     kernel = build_kernel(case)
     dev, bufs = make_device(case)
     label = engine if batch_blocks is None else f"{engine}(batch={batch_blocks})"
-    if event_mode != "columnar":
-        label = f"{label}({event_mode})"
     collector = KernelTraceCollector()
     executor = Executor(
         dev,
@@ -99,7 +96,6 @@ def _run_engine(
         profile_filter=stride_sampler(SAMPLE_BLOCKS),
         engine=engine,
         batch_blocks=batch_blocks,
-        event_mode=event_mode,
     )
     grid = case["grid"]
     block = tuple(case["block"])
@@ -183,13 +179,6 @@ def run_case(case: Case) -> CaseReport:
         outcome = _run_engine(case, "compiled", batch_blocks=bb)
         report.engines_run.append(outcome.engine)
         report.failures.extend(_compare(base, outcome, check_profile=True))
-
-    # Scalar-event leg: the compiled engine with per-event callbacks (the
-    # columnar pipeline's reference path) must agree bit-for-bit too, so
-    # every corpus replay asserts scalar-vs-columnar per-pass parity.
-    outcome = _run_engine(case, "compiled", event_mode="callback")
-    report.engines_run.append(outcome.engine)
-    report.failures.extend(_compare(base, outcome, check_profile=True))
 
     block_y = case["block"][1]
     reference_applies = not classification.communicating and not (

@@ -14,13 +14,10 @@ interpreter in :mod:`repro.simt.executor`:
 * **Block batching** — independent blocks are stacked into a single state
   of ``K * npad`` lanes (per-block ``%ctaid``/``%tid`` vectors, one
   shared-memory row per block), amortising every numpy operation across K
-  blocks.  Under the default *columnar* event mode, profiled blocks batch
-  exactly like silent ones: a batch containing profiled blocks runs the
-  observed program with an :class:`~repro.simt.events.EventRecorder`
-  capturing per-event columnar buffers, delivered to sinks as one
-  ``on_batch`` call.  Under the legacy *callback* event mode profiled
-  blocks run singly and emit per-event sink callbacks.  Both modes produce
-  bit-identical device memory and profiles.  Launches with an
+  blocks.  Profiled blocks batch exactly like silent ones: a batch
+  containing profiled blocks runs the observed program with an
+  :class:`~repro.simt.events.EventRecorder` capturing per-event columnar
+  buffers, delivered to sinks as one ``on_batch`` call.  Launches with an
   order-visible atomic are never batched: atomic lane serialisation is
   defined in launch order, which stacking would reorder.  Only integer
   ADD/MIN/MAX atomics whose old value is never read, on a buffer nothing
@@ -67,6 +64,7 @@ import numpy as np
 
 from repro.simt import footprint
 from repro.simt.errors import ExecutionError
+from repro.simt.events import EventRecorder
 from repro.simt.ir import (
     Atomic,
     AtomicOp,
@@ -180,12 +178,11 @@ _LOAD_CATEGORY = {
 
 
 class _RunState:
-    """Mutable lane state for one batch of blocks (or one profiled block)."""
+    """Mutable lane state for one batch of blocks."""
 
     __slots__ = (
         "device",
         "params",
-        "sinks",
         "strict_barriers",
         "nblk",
         "npad",
@@ -195,57 +192,26 @@ class _RunState:
         "block_mask",
         "lane_block",
         "shared",
-        "note_cache",
         "recorder",
     )
 
 
 # ----------------------------------------------------------------------
-# Observation hooks (only reachable from the observed program).  With a
-# recorder installed (columnar mode) events are captured as batch buffers;
-# otherwise (callback mode, single-block states) they fan out to sinks.
+# Observation hooks (only reachable from the observed program, which always
+# runs with a recorder installed): events are captured as batch buffers.
 # ----------------------------------------------------------------------
 
 
 def _note_instr(st: _RunState, stmt: Stmt, category: OpCategory, act: np.ndarray) -> None:
-    rec = st.recorder
-    if rec is not None:
-        rec.instr(stmt, category, act)
-        return
-    # Active masks are never mutated in place (every mask update allocates),
-    # so object identity implies value identity: a straight-line run under
-    # one mask reduces it once, not per instruction.  The cache holds a
-    # reference to the mask, so its id cannot be recycled while cached.
-    cache = st.note_cache
-    if cache is not None and cache[0] is act:
-        lanes = cache[1]
-        warp_mask = cache[2]
-    else:
-        warp_mask = act.reshape(-1, WARP_SIZE).any(axis=1)
-        lanes = int(act.sum())
-        st.note_cache = (act, lanes, warp_mask)
-    for sink in st.sinks:
-        sink.on_instr(stmt, category, lanes, warp_mask)
+    st.recorder.instr(stmt, category, act)
 
 
 def _note_mem(st, stmt, space, kind, esize, addrs, act) -> None:
-    rec = st.recorder
-    if rec is not None:
-        rec.mem(stmt, space, kind, esize, addrs, act)
-        return
-    for sink in st.sinks:
-        sink.on_mem(stmt, space, kind, esize, addrs, act)
+    st.recorder.mem(stmt, space, kind, esize, addrs, act)
 
 
 def _note_branch(st, stmt, kind, act, taken) -> None:
-    rec = st.recorder
-    if rec is not None:
-        rec.branch(stmt, kind, act, taken)
-        return
-    warp_active = act.reshape(-1, WARP_SIZE).sum(axis=1)
-    warp_taken = taken.reshape(-1, WARP_SIZE).sum(axis=1)
-    for sink in st.sinks:
-        sink.on_branch(stmt, kind, warp_active, warp_taken)
+    st.recorder.branch(stmt, kind, act, taken)
 
 
 # ----------------------------------------------------------------------
@@ -475,10 +441,6 @@ def _contains_return(stmt: Stmt) -> bool:
             map(_contains_return, stmt.body)
         )
     return False
-
-
-#: Full hook set (the historical "observed" program).
-ALL_HOOKS = frozenset({"instr", "mem", "branch"})
 
 
 def _compile_instr(ck, stmt: Instr, hooks: frozenset):
@@ -951,11 +913,6 @@ class CompiledKernel:
             self._observed[hooks] = run
         return run
 
-    @property
-    def run_observed(self) -> Callable:
-        """The fully-observed runner (every hook compiled in)."""
-        return self.observed_runner(ALL_HOOKS)
-
 
 def _stmt_sources(stmt: Stmt):
     """The registers a statement reads."""
@@ -1317,7 +1274,6 @@ def _make_state(
     block: Tuple[int, int],
     linears: Sequence[int],
     params: List,
-    observe: bool,
     templates: Optional[Dict[int, Dict]] = None,
 ) -> _RunState:
     """Build run state for a batch of blocks (``linears`` in ascending order)."""
@@ -1338,14 +1294,12 @@ def _make_state(
     st = _RunState()
     st.device = executor.device
     st.params = params
-    st.sinks = executor.sinks if observe else ()
     st.strict_barriers = executor.strict_barriers
     st.nblk = nblk
     st.npad = npad
     st.nlanes = nlanes
     st.regs = [None] * ck.nslots
     st.returned = np.zeros(nlanes, dtype=bool)
-    st.note_cache = None
     st.recorder = None
     st.block_mask = tmpl["block_mask"]
     st.lane_block = tmpl["lane_block"]
@@ -1362,6 +1316,16 @@ def _make_state(
     return st
 
 
+def _account_recorded(stats: Dict, rec: EventRecorder) -> None:
+    """Add one finished recorder's batch to a launch's stats (both engines)."""
+    stats["observed_batches"] += 1
+    stats["profiled_blocks"] += len(rec.block_ids)
+    counts = stats["event_counts"]
+    for kind, n in rec.event_counts.items():
+        counts[kind] += n
+    stats["event_bytes"] += rec.event_bytes
+
+
 def run_compiled_launch(
     executor,
     kernel: Kernel,
@@ -1372,13 +1336,11 @@ def run_compiled_launch(
     """Drive one launch through the compiled engine.
 
     Blocks accumulate into batches of up to ``batch_limit`` contiguous
-    blocks.  Under columnar event mode (the default when sinks are
-    attached), a batch containing profiled blocks runs the observed program
+    blocks.  A batch containing profiled blocks runs the observed program
     with an :class:`~repro.simt.events.EventRecorder` capturing columnar
-    buffers delivered via ``sink.on_batch``; purely silent batches run the
-    silent program.  Under callback event mode, any pending batch is
-    flushed before a profiled block runs singly with per-event callbacks.
-    Both orders execute blocks in ascending contiguous runs, preserving the
+    buffers delivered via ``sink.on_batch``; every other batch runs the
+    silent program (with no sinks the profile filter is never asked).
+    Blocks execute in ascending contiguous runs, preserving the
     interpreter's sequential device-memory outcome.  Returns the number of
     profiled blocks and records ``executor.last_launch_stats``.
     """
@@ -1400,11 +1362,9 @@ def run_compiled_launch(
 
     sinks = executor.sinks
     pf = executor.profile_filter
-    columnar = bool(sinks) and executor.event_mode == "columnar"
     run_observed = ck.observed_runner(executor.hook_subscriptions()) if sinks else None
     stats = {
         "engine": "compiled",
-        "event_mode": executor.event_mode,
         "blocks": nblocks,
         "profiled_blocks": 0,
         "batches": 0,
@@ -1418,20 +1378,33 @@ def run_compiled_launch(
         "event_counts": {"instr": 0, "mem": 0, "branch": 0},
         "event_bytes": 0,
     }
+    if sinks:
+        stats["observed_batch_limit"] = limit
     pending: List[int] = []
+    prof_rows: List[int] = []
+    prof_ids: List[int] = []
     templates: Dict[int, Dict] = {}
     # Bound once per launch: None keeps the silent path telemetry-free, the
     # same way observation hooks are compiled out of unprofiled blocks.
     tele = get_telemetry()
     observe_batch = tele.observe if tele.enabled else None
 
-    def run_silent_batch() -> None:
-        st = _make_state(
-            ck, executor, grid, block, pending, params, observe=False, templates=templates
-        )
-        ck.run_silent(st, st.block_mask)
-
-    def account_flush() -> None:
+    def flush() -> None:
+        if not pending:
+            return
+        st = _make_state(ck, executor, grid, block, pending, params, templates=templates)
+        if prof_ids:
+            rec = EventRecorder(prof_ids, prof_rows, len(pending), npad, nwarps, nthreads)
+            st.recorder = rec
+            run_observed(st, st.block_mask)
+            batch = rec.finish()
+            _account_recorded(stats, rec)
+            prof_ids.clear()
+            prof_rows.clear()
+            for sink in sinks:
+                sink.on_batch(batch)
+        else:
+            ck.run_silent(st, st.block_mask)
         stats["batches"] += 1
         stats["batched_blocks"] += len(pending)
         if len(pending) > stats["largest_batch"]:
@@ -1440,91 +1413,15 @@ def run_compiled_launch(
             observe_batch("engine.compiled.batch_blocks", len(pending))
         pending.clear()
 
-    if columnar:
-        from repro.simt.events import EventRecorder
-
-        stats["observed_batch_limit"] = limit
-
-        prof_rows: List[int] = []
-        prof_ids: List[int] = []
-
-        def flush() -> None:
-            if not pending:
-                return
-            if prof_ids:
-                st = _make_state(
-                    ck,
-                    executor,
-                    grid,
-                    block,
-                    pending,
-                    params,
-                    observe=False,
-                    templates=templates,
-                )
-                rec = EventRecorder(
-                    prof_ids, prof_rows, len(pending), npad, nwarps, nthreads
-                )
-                st.recorder = rec
-                run_observed(st, st.block_mask)
-                batch = rec.finish()
-                stats["observed_batches"] += 1
-                stats["profiled_blocks"] += len(prof_ids)
-                counts = stats["event_counts"]
-                for kind, n in rec.event_counts.items():
-                    counts[kind] += n
-                stats["event_bytes"] += rec.event_bytes
-                prof_ids.clear()
-                prof_rows.clear()
-                for sink in sinks:
-                    sink.on_batch(batch)
-            else:
-                run_silent_batch()
-            account_flush()
-
-        for linear in range(nblocks):
-            if group_of is not None and pending and group_of[linear] != group_of[pending[-1]]:
-                flush()
-            if pf(linear, nblocks):
-                prof_rows.append(len(pending))
-                prof_ids.append(linear)
-            pending.append(linear)
-            if len(pending) >= limit:
-                flush()
-        flush()
-    else:
-
-        def flush() -> None:
-            if not pending:
-                return
-            run_silent_batch()
-            account_flush()
-
-        for linear in range(nblocks):
-            if group_of is not None and pending and group_of[linear] != group_of[pending[-1]]:
-                flush()
-            if sinks and pf(linear, nblocks):
-                flush()
-                stats["profiled_blocks"] += 1
-                st = _make_state(
-                    ck,
-                    executor,
-                    grid,
-                    block,
-                    (linear,),
-                    params,
-                    observe=True,
-                    templates=templates,
-                )
-                for sink in sinks:
-                    sink.on_block_begin(linear, nthreads, nwarps)
-                run_observed(st, st.block_mask)
-                for sink in sinks:
-                    sink.on_block_end()
-            else:
-                pending.append(linear)
-                if len(pending) >= limit:
-                    flush()
-        flush()
+    for linear in range(nblocks):
+        if group_of is not None and pending and group_of[linear] != group_of[pending[-1]]:
+            flush()
+        if sinks and pf(linear, nblocks):
+            prof_rows.append(len(pending))
+            prof_ids.append(linear)
+        pending.append(linear)
+        if len(pending) >= limit:
+            flush()
+    flush()
     executor.last_launch_stats = stats
     return stats["profiled_blocks"]

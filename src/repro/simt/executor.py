@@ -21,6 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.simt.errors import ExecutionError, LaunchError
+from repro.simt.events import EventRecorder
 from repro.simt.ir import (
     Atomic,
     AtomicOp,
@@ -44,6 +45,7 @@ from repro.simt.ir import (
 )
 from repro.simt.compiled import (
     _OP_FUNCS,
+    _account_recorded,
     _trunc_div,
     _trunc_mod,
     compile_kernel,
@@ -97,13 +99,6 @@ def _as_dim(dim: DimLike, what: str) -> Tuple[int, int]:
 #: compiled/batched one; "interpreted" is the reference statement walker).
 ENGINES = ("compiled", "interpreted")
 
-#: How the compiled engine delivers events to sinks.  ``"columnar"``
-#: (default) batches profiled blocks and hands each batch to sinks as one
-#: :class:`~repro.simt.events.EventBatch` via ``on_batch``; ``"callback"``
-#: runs profiled blocks singly and fires the per-event scalar hooks.  The
-#: interpreted engine always uses callbacks.
-EVENT_MODES = ("columnar", "callback")
-
 
 class Executor:
     """Launches kernels on a :class:`~repro.simt.memory.Device`.
@@ -113,7 +108,9 @@ class Executor:
     device:
         The device holding global memory.
     sinks:
-        Trace sinks receiving dynamic-execution events.
+        Trace sinks receiving dynamic-execution events, one columnar
+        :class:`~repro.simt.events.EventBatch` per batch of profiled blocks
+        (a single-block batch per profiled block under the interpreter).
     profile_filter:
         Selects which blocks emit events.  Functional execution always covers
         every block; only *observation* is sampled.
@@ -128,12 +125,6 @@ class Executor:
         Override the number of blocks stacked per batch (compiled engine
         only).  ``None`` auto-sizes from the block's lane count; kernels
         containing atomics always run one block at a time.
-    event_mode:
-        ``"columnar"`` (default) lets the compiled engine batch profiled
-        blocks and deliver events as columnar buffers via ``on_batch``;
-        ``"callback"`` forces the legacy per-event scalar hook path.  Both
-        produce bit-identical memory and profiles; the interpreted engine
-        always uses callbacks.
     block_order:
         Optional permutation of linear block indices for the interpreted
         engine: blocks are *visited* in this order while keeping their
@@ -153,15 +144,10 @@ class Executor:
         strict_barriers: bool = True,
         engine: str = "compiled",
         batch_blocks: Optional[int] = None,
-        event_mode: str = "columnar",
         block_order: Optional[Sequence[int]] = None,
     ) -> None:
         if engine not in ENGINES:
             raise LaunchError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-        if event_mode not in EVENT_MODES:
-            raise LaunchError(
-                f"unknown event_mode {event_mode!r}; expected one of {EVENT_MODES}"
-            )
         if block_order is not None and engine != "interpreted":
             raise LaunchError(
                 "block_order is only supported by the interpreted engine"
@@ -172,7 +158,6 @@ class Executor:
         self.strict_barriers = strict_barriers
         self.engine = engine
         self.batch_blocks = batch_blocks
-        self.event_mode = event_mode
         self.block_order = None if block_order is None else [int(b) for b in block_order]
         #: Populated after every launch: engine, block/batch counters.
         self.last_launch_stats: Dict[str, Union[int, str]] = {}
@@ -180,7 +165,6 @@ class Executor:
         #: the per-workload aggregate surfaced by ``characterize --json``.
         self.launch_stats_totals: Dict[str, Union[int, str, Dict[str, int]]] = {
             "engine": engine,
-            "event_mode": event_mode,
             "launches": 0,
             "blocks": 0,
             "profiled_blocks": 0,
@@ -331,7 +315,6 @@ class Executor:
         params: Dict[str, Union[int, float]],
         nblocks: int,
     ) -> int:
-        profiled = 0
         hooks = self.hook_subscriptions() if self.sinks else frozenset()
         order: Sequence[int] = range(nblocks)
         if self.block_order is not None:
@@ -340,24 +323,27 @@ class Executor:
                     f"block_order must be a permutation of range({nblocks})"
                 )
             order = self.block_order
-        for linear in order:
-            ctaid = (linear % grid[0], linear // grid[0])
-            observe = bool(self.sinks) and self.profile_filter(linear, nblocks)
-            if observe:
-                profiled += 1
-            run = _BlockRun(self, kernel, grid, block, ctaid, params, observe, hooks)
-            run.execute()
-        self.last_launch_stats = {
+        stats = {
             "engine": "interpreted",
-            "event_mode": "callback",
             "blocks": nblocks,
-            "profiled_blocks": profiled,
+            "profiled_blocks": 0,
             "batches": 0,
             "batched_blocks": 0,
             "largest_batch": 0,
             "batch_limit": 1,
+            "observed_batches": 0,
+            "event_counts": {"instr": 0, "mem": 0, "branch": 0},
+            "event_bytes": 0,
         }
-        return profiled
+        for linear in order:
+            ctaid = (linear % grid[0], linear // grid[0])
+            observe = bool(self.sinks) and self.profile_filter(linear, nblocks)
+            run = _BlockRun(self, kernel, grid, block, ctaid, params, observe, hooks)
+            run.execute()
+            if run.recorder is not None:
+                _account_recorded(stats, run.recorder)
+        self.last_launch_stats = stats
+        return stats["profiled_blocks"]
 
     def _bind_params(
         self, kernel: Kernel, args: Dict[str, Union[int, float, DeviceBuffer]]
@@ -398,24 +384,36 @@ class _BlockRun:
         ctaid: Tuple[int, int],
         params: Dict[str, Union[int, float]],
         observe: bool,
-        hooks: frozenset = frozenset({"instr", "mem", "branch"}),
+        hooks: frozenset,
     ) -> None:
         self.executor = executor
         self.device = executor.device
         self.kernel = kernel
         self.params = params
-        self.sinks = executor.sinks if observe else []
-        # Per-hook sink lists: unsubscribed event kinds cost one falsy check.
-        self._instr_sinks = self.sinks if "instr" in hooks else []
-        self._mem_sinks = self.sinks if "mem" in hooks else []
-        self._branch_sinks = self.sinks if "branch" in hooks else []
         self.nthreads = block[0] * block[1]
         self.nwarps = -(-self.nthreads // WARP_SIZE)
         self.npad = self.nwarps * WARP_SIZE
+        self._block_idx = ctaid[1] * grid[0] + ctaid[0]
+        # A profiled block records its events as a one-block columnar batch,
+        # exactly as the compiled engine records a batch of blocks.
+        rec = (
+            EventRecorder(
+                (self._block_idx,), (0,), 1, self.npad, self.nwarps, self.nthreads
+            )
+            if observe
+            else None
+        )
+        self.recorder = rec
+        # Per-kind recorders: unsubscribed event kinds cost one None check.
+        self._instr_rec = rec if "instr" in hooks else None
+        self._mem_rec = rec if "mem" in hooks else None
+        self._branch_rec = rec if "branch" in hooks else None
 
         lane = np.arange(self.npad, dtype=np.int64)
         self.block_mask = lane < self.nthreads
         self.returned = np.zeros(self.npad, dtype=bool)
+        #: Bumped whenever a ``Return`` retires lanes (the only way they retire).
+        self._returns = 0
         self.env: Dict[str, np.ndarray] = {
             "%tid.x": lane % block[0],
             "%tid.y": np.minimum(lane // block[0], block[1] - 1),
@@ -431,22 +429,30 @@ class _BlockRun:
         }
         self._shared_decls = sorted(kernel.shared, key=lambda d: d.offset)
         self._shared_offsets = np.array([d.offset for d in self._shared_decls], dtype=np.int64)
-        self._block_idx = ctaid[1] * grid[0] + ctaid[0]
 
     # ------------------------------------------------------------------
 
     def execute(self) -> None:
-        for sink in self.sinks:
-            sink.on_block_begin(self._block_idx, self.nthreads, self.nwarps)
         self._exec_stmts(self.kernel.body, self.block_mask)
-        for sink in self.sinks:
-            sink.on_block_end()
+        if self.recorder is not None:
+            batch = self.recorder.finish()
+            for sink in self.executor.sinks:
+                sink.on_batch(batch)
 
     def _exec_stmts(self, stmts: List[Stmt], mask: np.ndarray) -> None:
+        # Straight-line statements share one active mask: it only changes
+        # after a Return retires lanes.  Masks are never mutated in place,
+        # so the recorder reduces each shared mask once, not per statement.
+        returns = self._returns
+        act = mask & ~self.returned
+        if not act.any():
+            return
         for stmt in stmts:
-            act = mask & ~self.returned
-            if not act.any():
-                return
+            if self._returns != returns:
+                returns = self._returns
+                act = mask & ~self.returned
+                if not act.any():
+                    return
             if isinstance(stmt, Instr):
                 self._exec_instr(stmt, act)
             elif isinstance(stmt, Load):
@@ -464,6 +470,7 @@ class _BlockRun:
             elif isinstance(stmt, Return):
                 self._note_instr(stmt, OpCategory.BRANCH, act)
                 self.returned |= act
+                self._returns += 1
             else:  # pragma: no cover - exhaustive over Stmt subclasses
                 raise ExecutionError(f"unknown statement {stmt!r}")
 
@@ -669,12 +676,8 @@ class _BlockRun:
     # ------------------------------------------------------------------
 
     def _note_instr(self, stmt: Stmt, category: OpCategory, act: np.ndarray) -> None:
-        if not self._instr_sinks:
-            return
-        warp_mask = act.reshape(self.nwarps, WARP_SIZE).any(axis=1)
-        lanes = int(act.sum())
-        for sink in self._instr_sinks:
-            sink.on_instr(stmt, category, lanes, warp_mask)
+        if self._instr_rec is not None:
+            self._instr_rec.instr(stmt, category, act)
 
     def _note_mem(
         self,
@@ -685,15 +688,9 @@ class _BlockRun:
         addrs: np.ndarray,
         act: np.ndarray,
     ) -> None:
-        if not self._mem_sinks:
-            return
-        for sink in self._mem_sinks:
-            sink.on_mem(stmt, space, kind, esize, addrs, act)
+        if self._mem_rec is not None:
+            self._mem_rec.mem(stmt, space, kind, esize, addrs, act)
 
     def _note_branch(self, stmt: Stmt, kind: str, act: np.ndarray, taken: np.ndarray) -> None:
-        if not self._branch_sinks:
-            return
-        warp_active = act.reshape(self.nwarps, WARP_SIZE).sum(axis=1)
-        warp_taken = taken.reshape(self.nwarps, WARP_SIZE).sum(axis=1)
-        for sink in self._branch_sinks:
-            sink.on_branch(stmt, kind, warp_active, warp_taken)
+        if self._branch_rec is not None:
+            self._branch_rec.branch(stmt, kind, act, taken)

@@ -148,11 +148,15 @@ def _exec_stmt(stmt: Stmt, state: _LaneState) -> None:
             # two spots: float division by zero raises (numpy yields inf/nan
             # under errstate) and ``~bool`` is integer invert (-2, truthy).
             # Promote floats and bools so numpy semantics govern both; ints
-            # stay native for the explicit _wrap64 below.
+            # stay native for the explicit _wrap64 below.  They become
+            # 1-element arrays, not numpy scalars: the two take different
+            # loops, and on ``NaN + NaN`` (whose sign IEEE 754 leaves open)
+            # the scalar loop keeps the second operand's NaN where the
+            # engines' array loops keep the first.
             srcs = [
-                np.bool_(s)
+                np.array([s], dtype=np.bool_)
                 if isinstance(s, bool)
-                else np.float64(s)
+                else np.array([s], dtype=np.float64)
                 if isinstance(s, float)
                 else s
                 for s in srcs

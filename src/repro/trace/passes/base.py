@@ -4,8 +4,9 @@ Each pass is a self-contained module under :mod:`repro.trace.passes` owning
 one section of the :class:`~repro.trace.profile.KernelProfile` (see
 ``PASS_FIELDS`` in the profile module).  A pass declares which executor
 events it *subscribes* to — the collector unions these and the engines
-specialize their emitted hooks to exactly that set, so disabled passes cost
-nothing on the hot path.
+record exactly that set, so disabled passes cost nothing on the hot path —
+and reduces each columnar :class:`~repro.simt.events.EventBatch` in its
+``consume``.
 
 Registration is by module import: each pass module decorates its class with
 :func:`register_pass`, and the package ``__init__`` imports all built-in
@@ -19,28 +20,24 @@ from typing import ClassVar, Dict, FrozenSet, List, Optional, Sequence, Tuple, T
 
 import numpy as np
 
-from repro.simt.ir import Kernel, MemSpace, OpCategory, Stmt
+from repro.simt.ir import Kernel, MemSpace
+from repro.simt.sink import EVENT_KINDS
 from repro.trace.profile import PASS_FIELDS, PASS_NAMES, KernelProfile, canonical_passes
-
-#: Executor event kinds a pass may subscribe to.
-EVENT_KINDS: FrozenSet[str] = frozenset({"instr", "mem", "branch"})
 
 
 class AnalysisPass:
     """One independent characterization pass over the executor event stream.
 
-    Subclasses set the class attributes and override only the hooks for the
-    events they subscribe to.  Lifecycle hooks (``begin_kernel`` …
-    ``end_kernel``) always fire for enabled passes.  Hot-path event hooks
-    receive pre-digested arguments (the collector computes the per-warp
-    activity mask popcount once and shares it across passes).
+    Subclasses set the class attributes and implement :meth:`consume`.
+    Lifecycle hooks (``begin_kernel``, ``end_kernel``) always fire for
+    enabled passes.
     """
 
     #: Registry key; must appear in ``profile.PASS_NAMES``.
     name: ClassVar[str]
-    #: Event kinds this pass needs the engines to emit (subset of EVENT_KINDS).
+    #: Event kinds this pass needs the engines to record (subset of EVENT_KINDS).
     subscribes: ClassVar[FrozenSet[str]] = frozenset()
-    #: For ``mem`` subscribers: which address spaces to receive.
+    #: For ``mem`` subscribers: which address spaces it reads.
     mem_spaces: ClassVar[FrozenSet[MemSpace]] = frozenset()
     #: Profile fields owned by this pass (mirrors ``profile.PASS_FIELDS``).
     fields: ClassVar[Tuple[str, ...]] = ()
@@ -48,82 +45,24 @@ class AnalysisPass:
     def __init__(self, config) -> None:
         self.config = config
 
-    # -- lifecycle ------------------------------------------------------
-
     def begin_kernel(self, kernel: Kernel, profile: KernelProfile) -> None:
         """Reset per-launch state; ``profile`` is this launch's profile."""
 
-    def begin_block(self, block_idx: int, nthreads: int, nwarps: int) -> None:
-        pass
+    def consume(self, batch) -> None:
+        """Fold one columnar :class:`~repro.simt.events.EventBatch`.
 
-    def end_block(self) -> None:
-        pass
+        A batch covers each of its profiled blocks whole, and a block
+        appears in one batch only.  Integer counters may reduce in any
+        order.  Real float sums must keep the per-block order, block
+        ascending and then event order (branch's ``taken_frac_sum``/
+        ``taken_frac_sqsum`` and mix's ``_cv_sum``), so a section does not
+        depend on the batch width.  ``tests/trace/scalar_passes.py`` holds
+        the per-event reference every ``consume`` must match bit for bit.
+        """
+        raise NotImplementedError
 
     def end_kernel(self, profile: KernelProfile) -> None:
         """Fold accumulated state into the owned profile section."""
-
-    # -- event hooks ----------------------------------------------------
-
-    def on_instr(
-        self,
-        stmt: Stmt,
-        category: OpCategory,
-        lanes: int,
-        nwarps: int,
-        warp_mask: np.ndarray,
-    ) -> None:
-        pass
-
-    def on_mem(
-        self, stmt: Stmt, kind: str, elem_size: int, addrs: np.ndarray, act: np.ndarray
-    ) -> None:
-        pass
-
-    def on_branch(
-        self, stmt: Stmt, kind: str, warp_active: np.ndarray, warp_taken: np.ndarray
-    ) -> None:
-        pass
-
-    # -- columnar path --------------------------------------------------
-
-    def consume(self, batch) -> None:
-        """Consume one columnar :class:`~repro.simt.events.EventBatch`.
-
-        The default scalar-replays the batch through this pass's lifecycle
-        and event hooks — per profiled block in ascending order, filtering
-        events by subscription, mem space and participation — reproducing
-        the callback sequence the collector would have dispatched.  Passes
-        override this with vectorized reductions over the block axis; any
-        override must stay bit-identical to this replay.  Integer counters
-        may reduce in any order.  Real float sums must keep the replay's
-        order, block ascending and then event order (branch's
-        ``taken_frac_sum``/``taken_frac_sqsum`` and mix's ``_cv_sum``).
-        """
-        subs = self.subscribes
-        want_instr = "instr" in subs
-        want_mem = "mem" in subs
-        want_branch = "branch" in subs
-        spaces = self.mem_spaces
-        nthreads = batch.nthreads
-        nwarps = batch.nwarps
-        events = batch.events
-        for i, linear in enumerate(batch.block_ids):
-            self.begin_block(linear, nthreads, nwarps)
-            for ev in events:
-                tag = ev[0]
-                if tag == "instr":
-                    if want_instr and ev[3][i]:
-                        self.on_instr(ev[1], ev[2], int(ev[3][i]), int(ev[5][i]), ev[4][i])
-                elif tag == "mem":
-                    if want_mem and ev[2] in spaces:
-                        row = ev[6][i]
-                        if row.any():
-                            self.on_mem(ev[1], ev[3], ev[4], ev[5][i], row)
-                elif want_branch:
-                    wa = ev[3][i]
-                    if wa.any():
-                        self.on_branch(ev[1], ev[2], wa, ev[4][i])
-            self.end_block()
 
 
 def sum_in_order(start: float, values: np.ndarray) -> float:
@@ -148,6 +87,8 @@ def register_pass(cls: Type[AnalysisPass]) -> Type[AnalysisPass]:
         raise ValueError(f"pass {name!r} fields {cls.fields!r} != profile.PASS_FIELDS[{name!r}]")
     if "mem" in cls.subscribes and not cls.mem_spaces:
         raise ValueError(f"mem-subscribing pass {name!r} declares no mem_spaces")
+    if cls.consume is AnalysisPass.consume:
+        raise ValueError(f"pass {name!r} does not implement consume")
     _REGISTRY[name] = cls
     return cls
 

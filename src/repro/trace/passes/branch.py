@@ -1,15 +1,11 @@
 """Branch-divergence pass.
 
 The statistics are a pure function of the (active, taken) warp vectors.
-The scalar hook memoizes each event's contribution by those vectors, which
-repeat heavily across blocks and loop iterations.  The columnar
 ``consume`` reduces a whole batch at once: integer counters in any order,
-the two taken-fraction float sums in the scalar (block, event) order.
+the two taken-fraction float sums in (block, event) order.
 """
 
 from __future__ import annotations
-
-from typing import Dict, Tuple
 
 import numpy as np
 
@@ -24,43 +20,9 @@ class BranchPass(AnalysisPass):
 
     def begin_kernel(self, kernel, profile):
         self._stats = profile.branch
-        self._cache: Dict[tuple, Tuple[int, int, float, float]] = {}
-
-    def on_branch(self, stmt, kind, warp_active, warp_taken):
-        key = (warp_active.tobytes(), warp_taken.tobytes())
-        c = self._cache.get(key)
-        if c is None:
-            has = warp_active > 0
-            active = warp_active[has]
-            taken = warp_taken[has]
-            n = active.size
-            if n == 0:
-                c = (0, 0, 0.0, 0.0)
-            else:
-                divergent = (taken > 0) & (taken < active)
-                frac = taken / active
-                c = (
-                    n,
-                    int(divergent.sum()),
-                    float(frac.sum()),
-                    float((frac * frac).sum()),
-                )
-            self._cache[key] = c
-        n, div, frac_sum, frac_sqsum = c
-        if n == 0:
-            return
-        b = self._stats
-        b.events += n
-        if kind == "loop":
-            b.loop_events += n
-        else:
-            b.if_events += n
-        b.divergent += div
-        b.taken_frac_sum += frac_sum
-        b.taken_frac_sqsum += frac_sqsum
 
     def consume(self, batch):
-        # Rows are (block, event) pairs in block-major order, the scalar
+        # Rows are (block, event) pairs in block-major order, the per-block
         # accumulation order.  The integer counters sum at once.
         evs = [ev for ev in batch.events if ev[0] == "branch"]
         if not evs:
@@ -81,7 +43,7 @@ class BranchPass(AnalysisPass):
         # taken_frac_sum/sqsum are real float sums.  Each row's sum must
         # reduce exactly its n participating warps, so rows are grouped by
         # n and compacted to (R_n, n) before summing: numpy's pairwise tree
-        # then matches the scalar per-event sum.  The row sums are added in
+        # then matches a per-event sum over the n warps.  The row sums are added in
         # row order (a non-participating row adds an exact 0.0).
         frac_sum = np.zeros(n.size)
         frac_sqsum = np.zeros(n.size)

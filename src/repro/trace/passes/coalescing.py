@@ -4,7 +4,7 @@ granularities, intra-warp stride classification, and the per-thread
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -104,13 +104,6 @@ class CoalescingPass(AnalysisPass):
 
     def begin_kernel(self, kernel, profile):
         self._g = profile.gmem
-        self._prev_addr: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-
-    def begin_block(self, block_idx, nthreads, nwarps):
-        self._prev_addr = {}
-
-    def end_block(self):
-        self._prev_addr = {}
 
     def _fold(self, sids, elem, addrs, act, carry) -> None:
         """Fold ``E`` events' ``(E, B, npad)`` rows over one run of blocks
@@ -125,18 +118,12 @@ class CoalescingPass(AnalysisPass):
             self._g.local_strides, addrs.reshape(E, -1), act.reshape(E, -1), sids, elem, carry
         )
 
-    def on_mem(self, stmt, kind, elem_size, addrs, act):
-        # Local-stride state persists across the current block's events.
-        elem = np.array([elem_size], dtype=np.int64)
-        self._fold([stmt.sid], elem, addrs[None], act[None], self._prev_addr)
-
     def consume(self, batch):
-        # Each block appears in one batch only, which reproduces the scalar
-        # per-block reset of local-stride state.
+        # Each block appears in one batch only, so local-stride state never
+        # crosses blocks.
         for evs, addrs, act, carry in batch.mem_chunks(MemSpace.GLOBAL):
             elem = np.array([ev[4] for ev in evs], dtype=np.int64)
             self._fold([ev[1].sid for ev in evs], elem, addrs, act, carry)
 
     def end_kernel(self, profile):
         self._g = None
-        self._prev_addr = {}

@@ -4,7 +4,7 @@ warp-issue imbalance.
 Mix counters are additive per static statement: accumulate
 ``[lanes, warps, category]`` per sid and fold at kernel end instead of
 updating two category dicts on every event (the fold iterates sids in
-first-occurrence order, matching the direct accumulation exactly).
+first-occurrence order, matching a direct accumulation exactly).
 """
 
 from __future__ import annotations
@@ -31,41 +31,16 @@ class MixPass(AnalysisPass):
 
     def begin_kernel(self, kernel, profile):
         self._sid_acc: Dict[int, list] = {}
-        self._warp_counts = None
         self._cv_sum = 0.0
         self._cv_blocks = 0
-
-    def begin_block(self, block_idx, nthreads, nwarps):
-        self._warp_counts = np.zeros(nwarps, dtype=np.int64)
-
-    def on_instr(self, stmt, category, lanes, nwarps, warp_mask):
-        if self._warp_counts is not None:
-            self._warp_counts += warp_mask
-        rec = self._sid_acc.get(stmt.sid)
-        if rec is None:
-            self._sid_acc[stmt.sid] = [lanes, nwarps, category.value]
-        else:
-            rec[0] += lanes
-            rec[1] += nwarps
-
-    def end_block(self):
-        counts = self._warp_counts
-        if counts.size > 1 and counts.sum() > 0:
-            mean = counts.mean()
-            if mean > 0:
-                self._cv_sum += float(counts.std() / mean)
-                self._cv_blocks += 1
-        elif counts.size >= 1:
-            self._cv_blocks += 1
-        self._warp_counts = None
 
     def consume(self, batch):
         # Category counters are per-sid integer sums, folded from event
         # columns (sids in first-occurrence order).  Events recorded under
         # one active mask share their arrays, so each distinct array is
         # reduced once and weighted by its multiplicity.  A zero-lane row
-        # has an all-false warp mask, so unconditional sums match the
-        # scalar participation guard.
+        # has an all-false warp mask, so unconditional sums skip
+        # non-participating blocks.
         evs = [ev for ev in batch.events if ev[0] == "instr"]
         if evs:
             lanes_u, lanes_inv = _distinct(evs, 3)
@@ -91,7 +66,8 @@ class MixPass(AnalysisPass):
                     rec[1] += int(warps_by_sid[j])
         else:
             counts = np.zeros((len(batch.block_ids), batch.nwarps), dtype=np.int64)
-        # Per-block CV, following the scalar end_block branch rules row-wise.
+        # Per-block CV of the warp issue counts.  A block with one warp, or
+        # with no issued instruction, counts toward the mean as a 0 CV.
         if batch.nwarps > 1:
             busy = counts.sum(axis=1) > 0
             rows = counts[busy]

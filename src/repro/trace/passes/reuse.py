@@ -20,20 +20,14 @@ class ReusePass(AnalysisPass):
     fields = ("locality",)
 
     def begin_kernel(self, kernel, profile):
-        self._stream = ReuseStream() if self.config.track_reuse else None
-
-    def on_mem(self, stmt, kind, elem_size, addrs, act):
-        if self._stream is not None:
-            self._stream.extend(distinct_lines(addrs, act, self.config.line_bits))
+        self._stream = ReuseStream()
 
     def consume(self, batch):
-        if self._stream is not None:
-            # Block-major rows give each (block, event) its lines in scalar order.
-            for _, addrs, act, _ in batch.mem_chunks(MemSpace.GLOBAL):
-                rows = (addrs.swapaxes(0, 1), act.swapaxes(0, 1))
-                self._stream.extend(distinct_lines(*rows, self.config.line_bits))
+        # Block-major rows give each (block, event) its lines in stream order.
+        for _, addrs, act, _ in batch.mem_chunks(MemSpace.GLOBAL):
+            rows = (addrs.swapaxes(0, 1), act.swapaxes(0, 1))
+            self._stream.extend(distinct_lines(*rows, self.config.line_bits))
 
     def end_kernel(self, profile):
-        if self._stream is not None:
-            self._stream.fill(profile.locality)
+        self._stream.fill(profile.locality)
         self._stream = None

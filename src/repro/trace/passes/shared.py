@@ -3,15 +3,11 @@
 A warp's shared access serialises over the distinct words it touches on
 one bank (same-word lanes broadcast for free), so each warp row
 contributes its presence, its worst-bank degree, and whether that degree
-exceeds one.  The scalar hook caches a row's contribution by its
-(mask, active addresses) bytes, which repeat across blocks because shared
-addresses are block-relative; the columnar ``consume`` instead reduces
-every warp row of an event in one pass of sorts and bincounts.
+exceeds one.  ``consume`` reduces every warp row of an event in one pass
+of sorts and bincounts.
 """
 
 from __future__ import annotations
-
-from typing import Dict, Tuple
 
 import numpy as np
 
@@ -22,7 +18,7 @@ from repro.trace.passes.base import AnalysisPass, register_pass
 #: Number of shared-memory banks (4-byte interleave), as on GT200/Fermi.
 NUM_BANKS = 32
 
-#: Word bits kept below the bank field of a lane key.
+#: Word bits kept in a lane's sort key.
 _WORD_MASK = (1 << 38) - 1
 
 
@@ -35,38 +31,6 @@ class SharedPass(AnalysisPass):
 
     def begin_kernel(self, kernel, profile):
         self._s = profile.shmem
-        self._cache: Dict[bytes, Tuple[int, float, int]] = {}
-
-    def on_mem(self, stmt, kind, elem_size, addrs, act):
-        s = self._s
-        active = addrs[act]
-        ckey = act.tobytes() + active.tobytes()
-        cached = self._cache.get(ckey)
-        if cached is None:
-            nwarps = act.size // WARP_SIZE
-            word = active >> 2
-            bank = word % NUM_BANKS
-            wid = np.flatnonzero(act) // WARP_SIZE
-            # Distinct (warp, bank, word) triples: same-word lanes broadcast
-            # for free; distinct words on the same bank serialise.
-            key = (wid << 44) | (bank << 38) | (word & _WORD_MASK)
-            uniq = np.unique(key)
-            wb = uniq >> 38  # (warp, bank) pairs
-            pairs, counts = np.unique(wb, return_counts=True)
-            warp_of = pairs >> 6
-            degree = np.zeros(nwarps, dtype=np.int64)
-            np.maximum.at(degree, warp_of, counts)
-            present = np.zeros(nwarps, dtype=bool)
-            present[warp_of] = True
-            cached = (
-                int(present.sum()),
-                float(degree[present].sum()),
-                int((degree[present] > 1).sum()),
-            )
-            self._cache[ckey] = cached
-        s.accesses += cached[0]
-        s.conflict_degree_sum += cached[1]
-        s.conflicted += cached[2]
 
     def consume(self, batch):
         # Each event reduces over all its (P * nwarps, 32) warp rows at once.

@@ -24,27 +24,22 @@ class TexturePass(AnalysisPass):
 
     def begin_kernel(self, kernel, profile):
         self._t = profile.texture
-        self._stream = ReuseStream() if self.config.track_reuse else None
+        self._stream = ReuseStream()
 
     def _fold(self, addrs, act):
         """Fold ``(E, B, npad)`` event rows over a run of blocks; block-major
-        rows give each (block, event) its lines in scalar order."""
+        rows give each (block, event) its lines in stream order."""
         t = self._t
         t.accesses += int(np.count_nonzero(act.reshape(-1, WARP_SIZE).any(axis=1)))
         t.lane_accesses += int(np.count_nonzero(act))
-        if self._stream is not None:
-            rows = (addrs.swapaxes(0, 1), act.swapaxes(0, 1))
-            self._stream.extend(distinct_lines(*rows, self.config.line_bits))
-
-    def on_mem(self, stmt, kind, elem_size, addrs, act):
-        self._fold(addrs[None, None], act[None, None])
+        rows = (addrs.swapaxes(0, 1), act.swapaxes(0, 1))
+        self._stream.extend(distinct_lines(*rows, self.config.line_bits))
 
     def consume(self, batch):
         for _, addrs, act, _ in batch.mem_chunks(MemSpace.TEXTURE):
             self._fold(addrs, act)
 
     def end_kernel(self, profile):
-        if self._stream is not None:
-            self._stream.fill(profile.texture)
+        self._stream.fill(profile.texture)
         self._t = None
         self._stream = None

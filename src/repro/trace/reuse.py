@@ -1,7 +1,7 @@
 """LRU stack (reuse) distances, computed offline per kernel launch.
 
 A pass buffers its launch's cache-line accesses in a :class:`ReuseStream`
-(one array per batch, each row's distinct lines in scalar order) and the
+(one array per batch, each row's distinct lines in (block, event) order) and the
 whole stream is measured at kernel end.  Mattson's stack distance of the
 access at time ``t`` to a line last touched at ``p = prev[t]`` is the
 number of distinct lines touched in ``(p, t)``: the accesses in that window

@@ -6,7 +6,8 @@ blocks, an agreed-fault launch, shared/texture event buffers recorded from
 genuinely multi-block columnar batches, and two store-hazard shapes whose
 overlap-window stores collide with the epilogue across blocks) — replaying
 them pins the generator's seed → case mapping, the engines' agreement on
-each shape, and scalar-vs-columnar per-pass section parity.
+each shape, and per-pass section parity between the interpreter's
+one-block event batches and the compiled engine's multi-block ones.
 
 Four entries come from the aliasing grammar band (seeds above
 ``ALIAS_SEED_BASE``) and pin the footprint-disjointness batch planner's

@@ -94,3 +94,21 @@ def test_communicating_cases_skip_the_reference_leg():
             assert "reference" not in report.engines_run
             return
     pytest.fail("no communicating case in 80 seeds")
+
+
+def test_reference_keeps_the_engines_nan_sign():
+    # Shrunk from stride-band seed 16777859: fsqrt of a negative input
+    # makes NaNs that the epilogue's float adds combine.  The reference
+    # must pick the same NaN (sign bit included) as the engines.
+    case = {
+        "seed": 16777859,
+        "grid": 5,
+        "block": [64, 1],
+        "stmts": [
+            {"k": "sfu", "op": "fsqrt", "d": 0, "a": 1},
+            {"k": "fop", "op": "fabs", "d": 2, "a": 0},
+        ],
+    }
+    report = run_case(case)
+    assert "reference" in report.engines_run
+    assert report.ok, report.failures

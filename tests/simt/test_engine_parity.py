@@ -203,7 +203,6 @@ def test_columnar_mode_batches_profiled_blocks():
     ex.launch(k, 8, 32, {"o": obuf})
     stats = ex.last_launch_stats
     assert stats["engine"] == "compiled"
-    assert stats["event_mode"] == "columnar"
     assert stats["profiled_blocks"] == 2
     assert stats["batched_blocks"] == stats["blocks"] == 8
     assert stats["largest_batch"] > 1
@@ -224,27 +223,6 @@ def test_columnar_mode_batches_profiled_blocks():
     stats = ex.last_launch_stats
     assert stats["profiled_blocks"] == 8
     assert stats["observed_batches"] == stats["batches"]
-    assert stats["largest_batch"] > 1
-
-
-def test_callback_mode_never_batches_profiled_blocks():
-    # The legacy callback event mode keeps profiled blocks out of batches.
-    k = _store_only_kernel()
-    dev = Device()
-    obuf = dev.alloc("o", 8 * 32, DType.I32)
-    ex = Executor(
-        dev,
-        sinks=[KernelTraceCollector()],
-        profile_filter=stride_sampler(2),
-        engine="compiled",
-        event_mode="callback",
-    )
-    ex.launch(k, 8, 32, {"o": obuf})
-    stats = ex.last_launch_stats
-    assert stats["event_mode"] == "callback"
-    assert stats["profiled_blocks"] == 2
-    assert stats["batched_blocks"] == 6
-    assert stats["profiled_blocks"] + stats["batched_blocks"] == stats["blocks"]
     assert stats["largest_batch"] > 1
 
 

@@ -3,8 +3,9 @@
 Covers the pass registry, demand-driven subset collection (subset-run
 sections must be bit-identical to the full run's, on both engines), the
 collector-config validation, section-level profile merging, and every
-pass's vectorized ``consume`` against the base-class scalar replay on
-random event batches.
+pass's vectorized ``consume`` against its per-event scalar twin
+(``tests/trace/scalar_passes.py``) on random event batches and on the
+batches both engines record for real workloads.
 """
 
 from unittest import mock
@@ -14,14 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.simt import Device, Executor, TraceSink
 from repro.simt import events as events_mod
 from repro.simt.events import EventBatch
-from repro.simt.ir import MemSpace, OpCategory
-from repro.simt.types import WARP_SIZE
+from repro.simt.executor import stride_sampler
+from repro.simt.ir import Instr, MemSpace, Op, OpCategory, Reg
+from repro.simt.types import WARP_SIZE, DType
 from repro.trace import PASS_FIELDS, PASS_NAMES, merge_profiles
 from repro.trace.collector import CollectorConfig, KernelTraceCollector
 from repro.trace.passes import (
-    AnalysisPass,
     get_pass,
     pass_names,
     pass_source_file,
@@ -34,7 +36,10 @@ from repro.trace.serialize import (
     workload_header_bytes,
     workload_section_bytes,
 )
+from repro.workloads import registry
+from repro.workloads.base import RunContext
 from repro.workloads.runner import run_workload
+from tests.trace.scalar_passes import SCALAR_PASSES
 
 #: Workloads exercising every pass between them (KM fetches textures).
 SUBSET_WORKLOADS = ["VA", "HG", "KM"]
@@ -154,17 +159,17 @@ def test_merge_profiles_rejects_header_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# Vectorized consume vs the base-class scalar replay
+# Vectorized consume vs the per-event scalar oracle
 
 #: Warps per block, covering the pairwise-summation boundary at 8.
 NWARPS_CHOICES = [1, 2, 7, 8, 9, 16, 32]
 SPACES = [MemSpace.SHARED, MemSpace.GLOBAL, MemSpace.TEXTURE]
 
 
-class _Stmt:
-    def __init__(self, sid):
-        self.sid = sid
-        self.category = list(OpCategory)[sid]
+def _stmt(sid, rng):
+    """An instruction over a few registers, so ILP sees real dependences."""
+    dest, a, b = (Reg(f"r{i}", DType.I32) for i in rng.integers(0, 4, size=3))
+    return Instr(Op.IADD, DType.I32, dest, (a, b), sid=sid)
 
 
 @st.composite
@@ -181,7 +186,8 @@ def event_batches(draw):
     nwarps = draw(st.sampled_from(NWARPS_CHOICES))
     npad = nwarps * WARP_SIZE
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    stmts = [_Stmt(sid) for sid in range(draw(st.integers(1, 6)))]
+    stmts = [_stmt(sid, rng) for sid in range(draw(st.integers(1, 6)))]
+    categories = list(OpCategory)
 
     def lane_mask(P):
         # Per row: all-inactive, or a random subset of warps with random lanes.
@@ -213,7 +219,7 @@ def event_batches(draw):
                         (act.sum(axis=1), warp_mask, np.count_nonzero(warp_mask, axis=1))
                     )
                 table = tables[rng.integers(len(tables))]
-                events.append(("instr", stmt, stmt.category) + table)
+                events.append(("instr", stmt, categories[stmt.sid]) + table)
             elif kind == "mem":
                 space = SPACES[rng.choice(3, p=[0.5, 0.35, 0.15])]
                 elem = int(rng.choice([4, 8]))
@@ -242,12 +248,12 @@ def event_batches(draw):
     return batches
 
 
-def _sections(cls, batches, consume):
+def _sections(cls, batches, kernel=None):
     profile = KernelProfile("k", (1, 1), (32, 1), 1, 1, 32)
     p = cls(CollectorConfig())
-    p.begin_kernel(None, profile)
+    p.begin_kernel(kernel, profile)
     for batch in batches:
-        consume(p, batch)
+        p.consume(batch)
     p.end_kernel(profile)
     return kernel_section_bytes(profile, cls.name)
 
@@ -258,8 +264,42 @@ def test_vectorized_consume_matches_scalar_replay(batches, chunk_lanes):
     # Small memory chunks split blocks along the event axis, so local-stride
     # state must carry across chunks.
     with mock.patch.object(events_mod, "MEM_CHUNK_LANES", chunk_lanes):
-        for name in ("shared", "branch", "mix", "coalescing", "reuse", "texture"):
-            cls = get_pass(name)
-            assert _sections(cls, batches, cls.consume) == _sections(
-                cls, batches, AnalysisPass.consume
+        for name in PASS_NAMES:
+            assert _sections(get_pass(name), batches) == _sections(
+                SCALAR_PASSES[name], batches
             ), f"pass {name!r}: vectorized consume differs from scalar replay"
+
+
+class _BatchTap(TraceSink):
+    """Keeps every launch's recorded batches: ``(kernel, [batch, ...])``."""
+
+    def __init__(self):
+        self.launches = []
+
+    def on_kernel_begin(self, kernel, grid, block, nblocks):
+        self.launches.append((kernel, []))
+
+    def on_batch(self, batch):
+        self.launches[-1][1].append(batch)
+
+
+#: Shared-memory sorts and dynamic programming (HYS, SS, NW), texture
+#: fetches (KM), reductions (RD) and data-dependent traversal (BFS).
+TRAFFIC_WORKLOADS = ["HYS", "SS", "NW", "KM", "RD", "BFS"]
+
+
+@pytest.mark.parametrize("engine", ["interpreted", "compiled"])
+@pytest.mark.parametrize("abbrev", TRAFFIC_WORKLOADS)
+def test_consume_matches_scalar_replay_on_recorded_traffic(abbrev, engine):
+    device = Device()
+    tap = _BatchTap()
+    executor = Executor(
+        device, sinks=[tap], profile_filter=stride_sampler(8), engine=engine
+    )
+    registry.get(abbrev)().run(RunContext(device, executor, seed=1234))
+    assert tap.launches
+    for kernel, batches in tap.launches:
+        for name in PASS_NAMES:
+            assert _sections(get_pass(name), batches, kernel) == _sections(
+                SCALAR_PASSES[name], batches, kernel
+            ), f"{abbrev}/{kernel.name}: pass {name!r} consume differs from scalar replay"
